@@ -26,6 +26,7 @@ from .matrices import (
     breve,
     is_normal,
     kleene_star,
+    monomial_act,
     mul,
     power,
     trop_det,

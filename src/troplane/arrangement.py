@@ -14,15 +14,10 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import (
-    InternalInconsistencyError,
-    NoSuchAntennaError,
-    NotCanonicalError,
-    NotNormalError,
-)
+from .errors import InternalInconsistencyError, NoSuchAntennaError, NotNormalError
 from .matrices import TropMatrix3, is_normal
+from .normalform import CanonicalParams, read_params
 from .projective import AffinePoint
-from .scalars import TropScalar
 
 _SUBSETS = [frozenset(s) for s in
             [{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}]]
@@ -274,16 +269,12 @@ class AntennaCell:
     cell: Cell
 
 
-def antenna_cell(f: TropMatrix3, which: str) -> AntennaCell:
-    """Open 2-cell collapsing onto the selected antenna of a canonical matrix.
+def _antenna_region(p: CanonicalParams, which: str):
+    """Closed-form inequalities and an interior witness of an antenna cell.
 
-    which is one of "h1", "h2", "h3", "g".  The h2 and g regions follow the
-    closed forms; h1 and h3 are their images under the cyclic chart action.
+    The h2 and g regions follow the closed forms; h1 and h3 are their images
+    under the cyclic chart action.
     """
-    from .normalform import read_params
-
-    f.require_finite("antenna_cell")
-    p = read_params(f)
     d = p.d
     d1, d2, d3 = p.dv
     h1, h2, h3 = p.h
@@ -325,8 +316,22 @@ def antenna_cell(f: TropMatrix3, which: str) -> AntennaCell:
 
     if not all(q.holds(wit) for q in ineqs):
         raise InternalInconsistencyError("antenna cell witness escaped")
-    sig = signature_at(f, wit)
-    cell = enumerate_cells(f).find(sig)
+    return ineqs, wit
+
+
+def _antenna_two_cell(f: TropMatrix3, arr: Arrangement, wit: AffinePoint) -> Cell:
+    """The cell of `arr` holding an antenna witness; it must be a 2-cell."""
+    cell = arr.find(signature_at(f, wit))
     if cell is None or cell.dim != 2:
         raise InternalInconsistencyError("antenna cell is not a 2-cell")
-    return AntennaCell(which, ineqs, cell)
+    return cell
+
+
+def antenna_cell(f: TropMatrix3, which: str) -> AntennaCell:
+    """Open 2-cell collapsing onto the selected antenna of a canonical matrix.
+
+    which is one of "h1", "h2", "h3", "g".
+    """
+    f.require_finite("antenna_cell")
+    ineqs, wit = _antenna_region(read_params(f), which)
+    return AntennaCell(which, ineqs, _antenna_two_cell(f, enumerate_cells(f), wit))

@@ -10,18 +10,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import mapping, verify
 from .arrangement import enumerate_cells
-from .errors import (
-    InvalidMatrixError,
-    NonFiniteEntryError,
-    ParseError,
-    TroplaneError,
-)
+from .errors import InvalidMatrixError, ParseError, TroplaneError
 from .matrices import TropMatrix3, is_monomial_pattern
-from .normalform import canonical_form
 from .projective import chart
 from .scalars import TropScalar, as_fraction
 from .svgfig import DEFAULT_VIEWPORT, Viewport, render_figure
@@ -56,13 +49,7 @@ def parse_matrix(text: str) -> TropMatrix3:
             except ParseError as exc:
                 raise ParseError(f"entry ({i + 1},{j + 1}): {exc}") from exc
         rows.append(tuple(parsed))
-    m = TropMatrix3(tuple(rows))
-    for i in range(3):
-        if all(m.rows[i][j].is_bottom for j in range(3)):
-            raise InvalidMatrixError(f"row {i + 1} has no finite entry")
-        if all(m.rows[j][i].is_bottom for j in range(3)):
-            raise InvalidMatrixError(f"column {i + 1} has no finite entry")
-    return m
+    return TropMatrix3(tuple(rows))
 
 
 def _matrix_json(m: TropMatrix3) -> list[list[str]]:
@@ -91,8 +78,8 @@ def _analyze_report(a: TropMatrix3) -> dict:
         report["skipped_reason"] = "monomial-matrix-is-a-change-of-coordinates"
         return report
     a.require_finite("analyze")
-    result = canonical_form(a)
     tri = analyze(a)
+    result = tri.canonical
     arr = enumerate_cells(a)
     n0, n1, n2 = arr.counts()
     report["canonical"] = {

@@ -11,13 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Cell, antenna_cell, enumerate_cells, signature_at
-from .errors import (
-    InternalInconsistencyError,
-    NoSuchAntennaError,
-    NotCanonicalError,
+from .arrangement import (
+    Cell,
+    _antenna_region,
+    _antenna_two_cell,
+    enumerate_cells,
+    signature_at,
 )
+from .errors import InternalInconsistencyError, NonFiniteEntryError
 from .matrices import TropMatrix3, is_monomial_pattern, power
+from .normalform import read_params
 from .projective import AffinePoint, ProjPoint, chart, point
 from .scalars import BOTTOM, t_add, t_mul, trop
 
@@ -43,8 +46,8 @@ def apply(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
 def project(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
     """Nearest-point map onto the span of the columns of A."""
     a.require_finite("project")
-    if not p.all_finite:
-        raise InternalInconsistencyError("project requires a finite point")
+    if not p.all_finite():
+        raise NonFiniteEntryError("project requires a finite point")
     out = [BOTTOM, BOTTOM, BOTTOM]
     for j in range(3):
         col = [a.rows[i][j] for i in range(3)]
@@ -124,11 +127,11 @@ def _on_segment(q: AffinePoint, base: AffinePoint, tip: AffinePoint) -> bool:
 
 def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
     """Behavior of the map of a canonical-form matrix on every 2-cell."""
-    from .normalform import read_params
     from .triangle import Antenna, member, _ANT_SLOTS
 
     f.require_finite("piecewise_report")
     p = read_params(f)
+    arr = enumerate_cells(f)
 
     square = power(f, 2)
     antenna_sigs = {}
@@ -138,11 +141,11 @@ def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
             continue
         col, direction = _ANT_SLOTS[name] if name != "g" else (2, "S")
         ant = Antenna(square.column(col), direction, value)
-        ac = antenna_cell(f, name)
-        antenna_sigs[ac.cell.signature] = ant
+        _, wit = _antenna_region(p, name)
+        antenna_sigs[_antenna_two_cell(f, arr, wit).signature] = ant
 
     entries = []
-    for cell in enumerate_cells(f).cells:
+    for cell in arr.cells:
         if cell.dim != 2:
             continue
         samples = _cell_samples(f, cell)

@@ -61,21 +61,12 @@ class TropMatrix3:
     def row_line(self, i: int) -> TropLine:
         return TropLine(ProjPoint(self.rows[i]))
 
-    def transpose(self) -> "TropMatrix3":
-        return TropMatrix3(tuple(tuple(self.rows[j][i] for j in range(3)) for i in range(3)))
-
     def all_finite(self) -> bool:
         return all(not e.is_bottom for row in self.rows for e in row)
 
     def require_finite(self, what: str = "operation") -> None:
         if not self.all_finite():
             raise NonFiniteEntryError(f"{what} requires all nine entries finite")
-
-    def neg(self) -> "TropMatrix3":
-        """Entry-wise classical negation; requires all entries finite."""
-        self.require_finite("negation")
-        return TropMatrix3(tuple(
-            tuple(TropScalar(-e.value) for e in row) for row in self.rows))
 
     def entrywise_max(self, other: "TropMatrix3") -> "TropMatrix3":
         return TropMatrix3(tuple(
@@ -142,11 +133,6 @@ def chart0(a: TropMatrix3) -> TropMatrix3:
             if not a.rows[i][j].is_bottom else BOTTOM
             for j in range(3)))
     return TropMatrix3(tuple(rows))
-
-
-def neg_transpose_chart(a: TropMatrix3) -> TropMatrix3:
-    """chart0 of -A^T; its columns are the vertices of the three row lines."""
-    return chart0(a.transpose().neg())
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,7 +268,24 @@ class MonomialMatrix:
 
     def conjugate(self, a: TropMatrix3) -> TropMatrix3:
         """self ⊙ a ⊙ self^{-1}."""
-        return mul(mul(self.to_matrix(), a), self.inverse().to_matrix())
+        return monomial_act(self, a, self.inverse())
+
+
+def monomial_act(p: MonomialMatrix, a: TropMatrix3, q: MonomialMatrix) -> TropMatrix3:
+    """P ⊙ A ⊙ Q for monomial P and Q, applied as an index map.
+
+    Row i of P carries u_i in column πP(i) and row k of Q carries v_k in
+    column πQ(k), so entry (i, πQ(k)) of the product is u_i + A[πP(i)][k] + v_k,
+    and -inf entries stay -inf.  No max-plus product is formed.
+    """
+    rows = [[BOTTOM] * 3 for _ in range(3)]
+    for i in range(3):
+        src, u, out = a.rows[p.perm[i]], p.offsets[i], rows[i]
+        for k in range(3):
+            e = src[k]
+            if not e.is_bottom:
+                out[q.perm[k]] = TropScalar(u + e.value + q.offsets[k])
+    return TropMatrix3(tuple(tuple(r) for r in rows))
 
 
 def is_monomial_pattern(a: TropMatrix3) -> bool:

@@ -23,17 +23,15 @@ from .errors import (
     ConstraintViolationError,
     DegenerateError,
     InternalInconsistencyError,
-    NonFiniteEntryError,
     NotIdempotentError,
     ParameterRangeError,
 )
 from .matrices import (
     CYCLIC,
-    IDENTITY,
     MonomialMatrix,
     TropMatrix3,
     is_normal,
-    mul,
+    monomial_act,
     power,
 )
 from .scalars import RationalLike, as_fraction
@@ -234,7 +232,7 @@ def _normalization_for(a: TropMatrix3, pi, tau) -> Normalization:
         q_perm[tau[j]] = j
         q_offs[tau[j]] = v[j]
     q_mon = MonomialMatrix(tuple(q_perm), tuple(q_offs))
-    n = mul(mul(p_mon.to_matrix(), a), q_mon.to_matrix())
+    n = monomial_act(p_mon, a, q_mon)
     if not is_normal(n):
         raise InternalInconsistencyError("normalization produced a non-normal matrix")
     return Normalization(n, p_mon, q_mon)
@@ -286,7 +284,7 @@ def canonical_idempotent(b: TropMatrix3):
             continue
         mono = relabel.inverse() @ center.inverse() @ MonomialMatrix.diag(
             t3 + 2 * d, t3 + d, 0)
-        if mul(mul(mono.inverse().to_matrix(), b), mono.to_matrix()) != make_L(d, dv):
+        if monomial_act(mono.inverse(), b, mono) != make_L(d, dv):
             continue
         return d, dv, mono
     raise InternalInconsistencyError("idempotent canonicalization failed")
@@ -304,7 +302,7 @@ def _try_candidate(a: TropMatrix3, pi, tau) -> CanonicalResult | None:
     else:
         norm = _normalization_for(a, pi, tau)
     d, dv, mono = canonical_idempotent(power(norm.N, 2))
-    t = mul(mul(mono.inverse().to_matrix(), norm.N), mono.to_matrix())
+    t = monomial_act(mono.inverse(), norm.N, mono)
     model = make_L(d, dv)
     if power(t, 2) != model:
         return None
@@ -365,7 +363,7 @@ def canonical_form(a: TropMatrix3) -> CanonicalResult:
         result = _try_candidate(a, pi, tau)
         if result is None:
             continue
-        if mul(mul(result.P.to_matrix(), a), result.Q.to_matrix()) != result.F:
+        if monomial_act(result.P, a, result.Q) != result.F:
             raise InternalInconsistencyError("P, Q composition check failed")
         p = result.params
         key = (p.d, -p.g, p.dv, p.h)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundaryPointError, DegenerateError
-from .scalars import BOTTOM, RationalLike, TropScalar, as_fraction, t_add, t_mul, trop
+from .scalars import BOTTOM, RationalLike, TropScalar, t_add, t_mul, trop
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,10 +27,6 @@ class AffinePoint:
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
-
-
-def affine(x: RationalLike, y: RationalLike) -> AffinePoint:
-    return AffinePoint(as_fraction(x), as_fraction(y))
 
 
 class ProjPoint:

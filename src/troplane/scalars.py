@@ -13,7 +13,6 @@ from typing import Union
 
 from .errors import BottomArithmeticError, ParseError
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 

@@ -157,14 +157,13 @@ def _skeleton_paths(a: TropMatrix3, vp: Viewport) -> list[str]:
 
 def render_figure(a: TropMatrix3, viewport: Viewport = DEFAULT_VIEWPORT) -> str:
     """SVG document for the triangle, soma, antennas, tripods and skeleton."""
-    from .normalform import canonical_form
     from .projective import point
     from .triangle import hrep_idempotent
 
     a.require_finite("render_figure")
     vp = viewport
     report = analyze(a)
-    result = canonical_form(a)
+    result = report.canonical
     p_inv = result.P.inverse()
 
     def transport(q: AffinePoint) -> AffinePoint:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError, ParameterRangeError
-from .matrices import TropMatrix3, is_normal, power
+from .matrices import MonomialMatrix, TropMatrix3, power
 from .normalform import CanonicalParams, CanonicalResult, canonical_form, normalize
 from .projective import AffinePoint, ProjPoint, chart, point
 from .scalars import RationalLike, as_fraction, plane_norm
@@ -45,6 +45,9 @@ class Antenna:
 
 @dataclass(frozen=True, slots=True)
 class TriangleReport:
+    """What analyze() found; `canonical` is the canonical form it used, so
+    callers that also need P, Q or F do not canonicalize again."""
+
     good: bool
     params: CanonicalParams
     soma_dim: int
@@ -52,6 +55,7 @@ class TriangleReport:
     pinwheel: bool
     convex: bool
     soma_vertices_chart: tuple[AffinePoint, ...]
+    canonical: CanonicalResult
 
 
 def is_good(a: TropMatrix3) -> bool:
@@ -93,12 +97,11 @@ def _classify_direction(dx: Fraction, dy: Fraction) -> str:
     raise InternalInconsistencyError(f"unrecognized antenna direction ({dx}, {dy})")
 
 
-def _transported_antenna(result: CanonicalResult, col: int, direction: str,
-                         length: Fraction) -> Antenna:
-    square = power(result.F, 2)
+def _transported_antenna(back: MonomialMatrix, square: TropMatrix3, col: int,
+                         direction: str, length: Fraction) -> Antenna:
+    """The antenna at column `col` of F⊙F, moved back by P^{-1}."""
     base_c = square.column(col)
     canonical = Antenna(base_c, direction, length)
-    back = result.P.inverse()
     base = back.apply(base_c)
     tip = back.apply(canonical.tip)
     bb, tt = chart(base), chart(tip)
@@ -114,16 +117,17 @@ def analyze(a: TropMatrix3) -> TriangleReport:
     a.require_finite("analyze")
     result = canonical_form(a)
     p = result.params
+    square = power(result.F, 2)
+    back = result.P.inverse()
     antennas = []
     for name, (col, direction) in _ANT_SLOTS.items():
         length = p.h[int(name[1]) - 1]
         if length > 0:
-            antennas.append(_transported_antenna(result, col, direction, length))
+            antennas.append(
+                _transported_antenna(back, square, col, direction, length))
     if p.g > 0:
-        antennas.append(_transported_antenna(result, 2, SOUTH, p.g))
+        antennas.append(_transported_antenna(back, square, 2, SOUTH, p.g))
 
-    square = power(result.F, 2)
-    back = result.P.inverse()
     soma_vertices = tuple(chart(back.apply(square.column(j))) for j in range(3))
     return TriangleReport(
         good=is_good(a),
@@ -133,6 +137,7 @@ def analyze(a: TropMatrix3) -> TriangleReport:
         pinwheel=(p.g == 0),
         convex=not antennas,
         soma_vertices_chart=soma_vertices,
+        canonical=result,
     )
 
 

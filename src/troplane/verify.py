@@ -12,10 +12,9 @@ from fractions import Fraction
 
 from . import mapping, triangle
 from .arrangement import bounded_complex, enumerate_cells, signature_at
-from .errors import ParameterRangeError, TroplaneError
+from .errors import TroplaneError
 from .matrices import (
     IDENTITY,
-    MonomialMatrix,
     TropMatrix3,
     adjoint_hat,
     breve,
@@ -27,7 +26,6 @@ from .matrices import (
     trop_det,
 )
 from .normalform import (
-    CanonicalParams,
     _admissible_pairs,
     _f_entries,
     _normalization_for,

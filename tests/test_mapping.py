@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from troplane.errors import NotCanonicalError
+from troplane.errors import (
+    InternalInconsistencyError,
+    NonFiniteEntryError,
+    NotCanonicalError,
+)
 from troplane.mapping import (
     BIJECTIVE,
     COLLAPSE,
@@ -39,6 +43,12 @@ def test_project_reference_value():
 def test_apply_differs_from_project():
     p = point(-12, 0, 0)
     assert apply(L3924, p) != project(L3924, p)
+
+
+def test_project_rejects_point_with_bottom_coordinate():
+    with pytest.raises(NonFiniteEntryError) as info:
+        project(L3924, point(None, 0, 0))
+    assert not isinstance(info.value, InternalInconsistencyError)
 
 
 def test_project_is_idempotent_and_fixes_columns():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,13 @@ from troplane.matrices import (
     is_monomial_pattern,
     is_normal,
     kleene_star,
+    monomial_act,
     mul,
     power,
     trop_det,
 )
 from troplane.projective import point
+from troplane.randgen import rand_fraction, rand_monomial
 
 L3924 = TropMatrix3.of([
     [0, -5, -10],
@@ -86,6 +89,27 @@ def test_monomial_apply_matches_matrix_action():
     assert P12.apply(p) == point(-1, 3, 0)
     assert CYCLIC.apply(p) == mul(CYCLIC.to_matrix(),
                                   TropMatrix3.from_columns(p, p, p)).column(0)
+
+
+def _rand_matrix_with_bottoms(rng):
+    """Valid matrix whose entries are -inf with probability 1/3."""
+    while True:
+        try:
+            return TropMatrix3.of([[None if rng.random() < 1 / 3
+                                    else rand_fraction(rng)
+                                    for _ in range(3)] for _ in range(3)])
+        except InvalidMatrixError:
+            continue
+
+
+def test_monomial_act_matches_dense_products():
+    rng = random.Random(11)
+    for _ in range(300):
+        a = _rand_matrix_with_bottoms(rng)
+        p, q = rand_monomial(rng), rand_monomial(rng)
+        assert monomial_act(p, a, q) == mul(mul(p.to_matrix(), a), q.to_matrix())
+        assert p.conjugate(a) == mul(mul(p.to_matrix(), a),
+                                     p.inverse().to_matrix())
 
 
 def test_require_finite():
