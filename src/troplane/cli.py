@@ -30,7 +30,9 @@ def parse_matrix(text: str) -> TropMatrix3:
     """Parse a JSON matrix document: {"entries": [[...], [...], [...]]}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the int-to-str digit limit, or
+        # nesting deeper than the recursion limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ParseError('matrix document must be {"entries": [[...]x3]}')
@@ -110,16 +112,22 @@ def _analyze_report(a: TropMatrix3) -> dict:
 
 
 def _read_input(args) -> str:
-    if args.input == "-" or args.input is None:
-        return sys.stdin.read()
-    with open(args.input, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        if args.input == "-" or args.input is None:
+            return sys.stdin.read()
+        with open(args.input, "r", encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read input: {exc}") from exc
 
 
 def _write_output(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -202,7 +210,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (ParseError, InvalidMatrixError, FileNotFoundError) as exc:
+    except (ParseError, InvalidMatrixError) as exc:
         print(json.dumps({"error": "input", "reason": str(exc)}),
               file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -11,11 +11,17 @@ Parameter conventions (all subscripts mod 3):
 Admissible parameters are nonnegative with h_{j+1} > 0 forcing d_j = 0 and
 g > 0 forcing d = d1 = h3 = 0 (we additionally require h1 = 0 when g > 0,
 since otherwise the square-root law fails).
+
+The orbit search behind canonical_form runs on scaled integers: the input is
+multiplied once by s = 3 * lcm(denominators), every step works on 3x3 int
+lists, and only the winning candidate is divided back by s.  The results are
+exactly those of the same search over Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +37,6 @@ from .matrices import (
     MonomialMatrix,
     TropMatrix3,
     is_normal,
-    monomial_act,
     power,
 )
 from .scalars import RationalLike, as_fraction
@@ -80,22 +85,32 @@ def make_L(d: RationalLike, dv) -> TropMatrix3:
     d1, d2, d3 = (as_fraction(v) for v in dv)
     if d < 0 or any(v < -d for v in (d1, d2, d3)):
         raise ParameterRangeError("make_L needs d >= 0 and d_j >= -d")
-    return TropMatrix3.of([
+    return TropMatrix3.of(_l_rows(d, (d1, d2, d3)))
+
+
+def _l_rows(d, dv) -> list[list]:
+    # L(d, dv) as nested lists, over Fractions or the kernel's scaled ints.
+    d1, d2, d3 = dv
+    return [
         [0, -d - d2, -2 * d - d3],
         [-2 * d - d1, 0, -d - d3],
         [-d - d1, -2 * d - d2, 0],
-    ])
+    ]
+
+
+def _f_rows(d, dv, h, g) -> list[list]:
+    # Raw F pattern as nested lists, without the complementarity checks.
+    rows = _l_rows(d, dv)
+    h1, h2, h3 = h
+    rows[0][2] -= h3
+    rows[1][0] -= h1
+    rows[2][1] -= h2
+    rows[1][2] -= g
+    return rows
 
 
 def _f_entries(d: Fraction, dv: Triple, h: Triple, g: Fraction) -> TropMatrix3:
-    # Raw F pattern, without the complementarity checks.
-    d1, d2, d3 = dv
-    h1, h2, h3 = h
-    return TropMatrix3.of([
-        [0, -d - d2, -2 * d - d3 - h3],
-        [-2 * d - d1 - h1, 0, -d - d3 - g],
-        [-d - d1, -2 * d - d2 - h2, 0],
-    ])
+    return TropMatrix3.of(_f_rows(d, dv, h, g))
 
 
 def validate_params(p: CanonicalParams) -> list[str]:
@@ -171,71 +186,216 @@ def read_params(f: TropMatrix3) -> CanonicalParams:
     return p
 
 
-def _optimal_assignment_value(a: TropMatrix3):
-    best = None
-    for perm in itertools.permutations(range(3)):
-        if any(a.rows[i][perm[i]].is_bottom for i in range(3)):
-            continue
-        s = sum(a.rows[i][perm[i]].value for i in range(3))
-        if best is None or s > best:
-            best = s
-    return best
+# --- The scaled-integer kernel ---------------------------------------------
+#
+# A grid is a 3x3 list of ints, None for -inf: a matrix multiplied by its
+# scale s = 3 * lcm(denominators).  Every step below only adds, subtracts and
+# compares, except d = (t4 - t3) / 3, which the factor 3 keeps integral.
+# Monomial matrices in the kernel are MonomialMatrix values with int offsets.
+
+Grid = list[list]
+
+_PERMS = tuple(itertools.permutations(range(3)))
+_INVERSE = {p: tuple(p.index(i) for i in range(3)) for p in _PERMS}
+# Every (pi, tau) in lexicographic order, with the index k of the assignment
+# _PERMS[k] that the diagonal a[pi[j]][tau[j]] picks out.
+_PAIRS = tuple((pi, tau, _PERMS.index(tuple(tau[pi.index(i)] for i in range(3))))
+               for pi in _PERMS for tau in _PERMS)
+_CYC = MonomialMatrix(CYCLIC.perm, (0, 0, 0))
+_ROTATIONS = (MonomialMatrix((0, 1, 2), (0, 0, 0)), _CYC, _CYC @ _CYC)
 
 
-def _admissible_pairs(a: TropMatrix3):
-    """Yield (pi, tau) row/column permutations whose induced diagonal is an
-    optimal assignment of A, in lexicographic order."""
-    best = _optimal_assignment_value(a)
-    if best is None:
+def _scale(a: TropMatrix3) -> int:
+    return 3 * math.lcm(*(e.value.denominator for row in a.rows for e in row
+                          if e.value is not None))
+
+
+def _grid(a: TropMatrix3, s: int) -> Grid:
+    return [[None if e.value is None
+             else e.value.numerator * (s // e.value.denominator) for e in row]
+            for row in a.rows]
+
+
+def _unscale_grid(g: Grid, s: int) -> TropMatrix3:
+    return TropMatrix3.of([[None if x is None else Fraction(x, s) for x in row]
+                           for row in g])
+
+
+def _unscale_monomial(m: MonomialMatrix, s: int) -> MonomialMatrix:
+    return MonomialMatrix(m.perm, tuple(Fraction(x, s) for x in m.offsets))
+
+
+def _act(p: MonomialMatrix, g: Grid, q: MonomialMatrix) -> Grid:
+    """P (.) G (.) Q on a grid: the index map of matrices.monomial_act."""
+    out = [[None] * 3 for _ in range(3)]
+    q_perm, q_offs = q.perm, q.offsets
+    for i in range(3):
+        src, u, row = g[p.perm[i]], p.offsets[i], out[i]
+        for k in range(3):
+            if src[k] is not None:
+                row[q_perm[k]] = u + src[k] + q_offs[k]
+    return out
+
+
+def _square(g: Grid) -> Grid:
+    """G (.) G for an all-finite grid."""
+    return [[max(r[0] + g[0][j], r[1] + g[1][j], r[2] + g[2][j])
+             for j in range(3)] for r in g]
+
+
+def _grid_is_normal(g: Grid) -> bool:
+    return (g[0][0] == g[1][1] == g[2][2] == 0
+            and all(x is None or x <= 0 for row in g for x in row))
+
+
+def _pairs(g: Grid) -> list:
+    """(pi, tau) row/column permutations whose induced diagonal is an
+    optimal assignment of G, in lexicographic order."""
+    sums = []
+    for perm in _PERMS:
+        x, y, z = g[0][perm[0]], g[1][perm[1]], g[2][perm[2]]
+        sums.append(None if x is None or y is None or z is None else x + y + z)
+    finite = [v for v in sums if v is not None]
+    if not finite:
         raise DegenerateError("matrix admits no finite assignment")
-    for pi in itertools.permutations(range(3)):
-        for tau in itertools.permutations(range(3)):
-            diag = [a.rows[pi[j]][tau[j]] for j in range(3)]
-            if any(e.is_bottom for e in diag):
-                continue
-            if sum(e.value for e in diag) == best:
-                yield pi, tau
+    best = max(finite)
+    return [(pi, tau) for pi, tau, k in _PAIRS if sums[k] == best]
 
 
-def _normalization_for(a: TropMatrix3, pi, tau) -> Normalization:
+def _potentials(g: Grid, pi, tau) -> tuple[MonomialMatrix, MonomialMatrix, Grid]:
     """Solve the dual potentials for a fixed optimal row/column permutation.
 
-    With b_ij = a[pi(i)][tau(j)] we need u_i + b_ij + v_j <= 0 with equality
+    With b_ij = g[pi(i)][tau(j)] we need u_i + b_ij + v_j <= 0 with equality
     on the diagonal.  Writing w = -v this is the difference-constraint system
     w_i - w_j <= b_ii - b_ij, solved by shortest paths and anchored at w_3 = 0.
+    Returns (P, Q, N) with N = P (.) G (.) Q normal.
     """
-    b = [[a.rows[pi[i]][tau[j]] for j in range(3)] for i in range(3)]
-    w = [Fraction(0)] * 3
+    b = [[g[pi[i]][tau[j]] for j in range(3)] for i in range(3)]
+    w = [0, 0, 0]
     for _ in range(3):
         for i in range(3):
             for j in range(3):
-                if i == j or b[i][j].is_bottom:
+                if i == j or b[i][j] is None:
                     continue
-                c = b[i][i].value - b[i][j].value
+                c = b[i][i] - b[i][j]
                 if w[j] + c < w[i]:
                     w[i] = w[j] + c
     # sanity: the relaxation must have converged (no negative cycles)
     for i in range(3):
         for j in range(3):
-            if i != j and not b[i][j].is_bottom:
-                if w[i] - w[j] > b[i][i].value - b[i][j].value:
-                    raise InternalInconsistencyError("potential system did not converge")
-    shift = w[2]
-    w = [x - shift for x in w]
-    u = tuple(w[i] - b[i][i].value for i in range(3))
-    v = tuple(-w[j] for j in range(3))
-
-    p_mon = MonomialMatrix(tuple(pi), u)
-    q_perm = [0, 0, 0]
-    q_offs = [Fraction(0)] * 3
+            if (i != j and b[i][j] is not None
+                    and w[i] - w[j] > b[i][i] - b[i][j]):
+                raise InternalInconsistencyError("potential system did not converge")
+    u = [w[i] - w[2] - b[i][i] for i in range(3)]
+    v = [w[2] - w[j] for j in range(3)]
+    # entry (i, j) of N is u_i + b_ij + v_j
+    n = [[None if b[i][j] is None else u[i] + b[i][j] + v[j] for j in range(3)]
+         for i in range(3)]
+    if not _grid_is_normal(n):
+        raise InternalInconsistencyError("normalization produced a non-normal matrix")
+    q_perm, q_offs = [0, 0, 0], [0, 0, 0]
     for j in range(3):
         q_perm[tau[j]] = j
         q_offs[tau[j]] = v[j]
-    q_mon = MonomialMatrix(tuple(q_perm), tuple(q_offs))
-    n = monomial_act(p_mon, a, q_mon)
-    if not is_normal(n):
-        raise InternalInconsistencyError("normalization produced a non-normal matrix")
-    return Normalization(n, p_mon, q_mon)
+    return (MonomialMatrix(pi, tuple(u)),
+            MonomialMatrix(tuple(q_perm), tuple(q_offs)), n)
+
+
+def _idempotent(b: Grid) -> tuple[int, tuple, MonomialMatrix]:
+    """(d, dv, M) with M^{-1} (.) B (.) M = L(d, dv), for an all-finite grid B.
+
+    Relabels the coordinates, centers column 3 at the chart origin, reads the
+    side lengths t1..t4 and converts them to (d, d1, d2, d3).
+    """
+    if not _grid_is_normal(b):
+        raise NotIdempotentError("canonical_idempotent requires a normal matrix")
+    if _square(b) != b:
+        raise NotIdempotentError("matrix is not idempotent")
+    for perm in _PERMS:
+        # relabel by perm; centering then subtracts c13 from row 1 and c23
+        # from row 2 and adds them back to columns 1 and 2
+        (_, b12, c13), (b21, _, c23), (b31, b32, _) = (
+            [b[perm[i]][perm[j]] for j in range(3)] for i in range(3))
+        t1 = -b31 - c13
+        t2 = -b32 - c23
+        t3 = b21 - c23 - b31
+        t4 = b12 - c13 - b32
+        if t4 < t3:
+            continue
+        if (t4 - t3) % 3:
+            raise InternalInconsistencyError("t4 - t3 is not divisible by 3 on the scaled grid")
+        d = (t4 - t3) // 3
+        dv = (t1 - t4, t2 - t4, t3)
+        if min(dv) < 0:
+            continue
+        m = (c13 + t3 + 2 * d, c23 + t3 + d, 0)
+        inv = _INVERSE[perm]
+        mono = MonomialMatrix(inv, tuple(m[k] for k in inv))
+        if _act(mono.inverse(), b, mono) != _l_rows(d, dv):
+            continue
+        return d, dv, mono
+    raise InternalInconsistencyError("idempotent canonicalization failed")
+
+
+def _candidate(g: Grid, pi, tau):
+    """The canonical candidate of one admissible pair, on the grid.
+
+    Returns (key, P, Q, F) with F = P (.) G (.) Q and key = (d, -g, dv, h),
+    or None when this normalization does not canonicalize.
+    """
+    p_norm, q_norm, n = _potentials(g, pi, tau)
+    d, dv, mono = _idempotent(_square(n))
+    mono_inv = mono.inverse()
+    t = _act(mono_inv, n, mono)
+    model = _l_rows(d, dv)
+    if _square(t) != model:
+        return None
+
+    resid = [[model[i][j] - t[i][j] for j in range(3)] for i in range(3)]
+    if any(v < 0 for row in resid for v in row):
+        raise InternalInconsistencyError("negative canonicalization residual")
+    h = (resid[1][0], resid[2][1], resid[0][2])
+    gs = (resid[2][0], resid[0][1], resid[1][2])
+    if sum(1 for v in gs if v > 0) > 1:
+        return None
+
+    # Cyclic relabeling must park the positive g-slot at position 3; when no
+    # slot is positive all three relabelings are canonical, so pick the
+    # lexicographically smallest parameter tuple to make the result a true
+    # invariant of the monomial-equivalence class.
+    best = None
+    for r in range(3):
+        if r:  # relabel under the cyclic coordinate permutation 1->2->3->1
+            dv, h, gs = ((dv[2], dv[0], dv[1]), (h[2], h[0], h[1]),
+                         (gs[2], gs[0], gs[1]))
+        if (gs[0] <= 0 and gs[1] <= 0
+                and not validate_params(CanonicalParams(d, dv, h, gs[2]))):
+            key = (d, -gs[2], dv, h)
+            if best is None or key < best[0]:
+                best = (key, r)
+    if best is None:
+        return None
+    key, r = best
+
+    rot = _ROTATIONS[r]
+    f = _act(rot, t, rot.inverse())
+    if f != _f_rows(d, key[2], key[3], -key[1]):
+        raise InternalInconsistencyError("canonical matrix does not match its parameters")
+    return key, rot @ mono_inv @ p_norm, q_norm @ mono @ rot.inverse(), f
+
+
+def _admissible_pairs(a: TropMatrix3) -> list:
+    """(pi, tau) row/column permutations whose induced diagonal is an
+    optimal assignment of A, in lexicographic order."""
+    return _pairs(_grid(a, _scale(a)))
+
+
+def _normalization_for(a: TropMatrix3, pi, tau) -> Normalization:
+    """The normalization of A for a fixed optimal row/column permutation."""
+    s = _scale(a)
+    p_mon, q_mon, n = _potentials(_grid(a, s), pi, tau)
+    return Normalization(_unscale_grid(n, s), _unscale_monomial(p_mon, s),
+                         _unscale_monomial(q_mon, s))
 
 
 def normalize(a: TropMatrix3) -> Normalization:
@@ -247,8 +407,7 @@ def normalize(a: TropMatrix3) -> Normalization:
     """
     if is_normal(a):
         return Normalization(a, MonomialMatrix.identity(), MonomialMatrix.identity())
-    pi, tau = next(iter(_admissible_pairs(a)))
-    return _normalization_for(a, pi, tau)
+    return _normalization_for(a, *_admissible_pairs(a)[0])
 
 
 def canonical_idempotent(b: TropMatrix3):
@@ -263,112 +422,36 @@ def canonical_idempotent(b: TropMatrix3):
     if power(b, 2) != b:
         raise NotIdempotentError("matrix is not idempotent")
     b.require_finite("canonical_idempotent")
-
-    for perm in itertools.permutations(range(3)):
-        relabel = MonomialMatrix(perm, (Fraction(0),) * 3)
-        bb = relabel.conjugate(b)
-        # center: zero the third column so side lengths can be read off
-        c13, c23 = bb.rows[0][2].value, bb.rows[1][2].value
-        center = MonomialMatrix.diag(-c13, -c23, 0)
-        bc = center.conjugate(bb)
-
-        t1 = -bc.rows[2][0].value
-        t2 = -bc.rows[2][1].value
-        t3 = bc.rows[1][0].value - bc.rows[2][0].value
-        t4 = bc.rows[0][1].value - bc.rows[2][1].value
-        if t4 < t3:
-            continue
-        d = (t4 - t3) / 3
-        dv = (t1 - t4, t2 - t4, t3)
-        if any(v < 0 for v in dv):
-            continue
-        mono = relabel.inverse() @ center.inverse() @ MonomialMatrix.diag(
-            t3 + 2 * d, t3 + d, 0)
-        if monomial_act(mono.inverse(), b, mono) != make_L(d, dv):
-            continue
-        return d, dv, mono
-    raise InternalInconsistencyError("idempotent canonicalization failed")
-
-
-def _rotate_params_once(d, dv, h, gs):
-    """Relabel under the cyclic coordinate permutation 1->2->3->1."""
-    rot = lambda t: (t[2], t[0], t[1])
-    return d, rot(dv), rot(h), rot(gs)
-
-
-def _try_candidate(a: TropMatrix3, pi, tau) -> CanonicalResult | None:
-    if pi == (0, 1, 2) and tau == (0, 1, 2) and is_normal(a):
-        norm = Normalization(a, MonomialMatrix.identity(), MonomialMatrix.identity())
-    else:
-        norm = _normalization_for(a, pi, tau)
-    d, dv, mono = canonical_idempotent(power(norm.N, 2))
-    t = monomial_act(mono.inverse(), norm.N, mono)
-    model = make_L(d, dv)
-    if power(t, 2) != model:
-        return None
-
-    resid = [[model.rows[i][j].value - t.rows[i][j].value for j in range(3)]
-             for i in range(3)]
-    if any(resid[i][j] < 0 for i in range(3) for j in range(3)):
-        raise InternalInconsistencyError("negative canonicalization residual")
-    h = (resid[1][0], resid[2][1], resid[0][2])
-    gs = (resid[2][0], resid[0][1], resid[1][2])
-    if sum(1 for v in gs if v > 0) > 1:
-        return None
-
-    # Cyclic relabeling must park the positive g-slot at position 3; when no
-    # slot is positive all three relabelings are canonical, so pick the
-    # lexicographically smallest parameter tuple to make the result a true
-    # invariant of the monomial-equivalence class.
-    best = None
-    rd, rdv, rh, rgs = d, dv, h, gs
-    for r in range(3):
-        if r:
-            rd, rdv, rh, rgs = _rotate_params_once(rd, rdv, rh, rgs)
-        if rgs[0] <= 0 and rgs[1] <= 0:
-            cand = CanonicalParams(rd, rdv, rh, rgs[2])
-            if not validate_params(cand):
-                key = (cand.d, -cand.g, cand.dv, cand.h)
-                if best is None or key < best[0]:
-                    best = (key, r, cand)
-    if best is None:
-        return None
-    _, rotations, p = best
-
-    cyc = CYCLIC
-    f = t
-    for _ in range(rotations):
-        f = cyc.conjugate(f)
-    if f != make_F(p):
-        raise InternalInconsistencyError("canonical matrix does not match its parameters")
-
-    rot = MonomialMatrix.identity()
-    for _ in range(rotations):
-        rot = cyc @ rot
-    p_total = rot @ mono.inverse() @ norm.P
-    q_total = norm.Q @ mono @ rot.inverse()
-    return CanonicalResult(p, p_total, q_total, f)
+    s = _scale(b)
+    d, dv, mono = _idempotent(_grid(b, s))
+    return Fraction(d, s), tuple(Fraction(v, s) for v in dv), _unscale_monomial(mono, s)
 
 
 def canonical_form(a: TropMatrix3) -> CanonicalResult:
     """Lower canonical normalization of an all-finite matrix.
 
     The parameters are unique; P and Q are one admissible choice with
-    F = P (.) A (.) Q.  Tries the deterministic normalization first, then
-    falls back to the remaining admissible permutation pairs.
+    F = P (.) A (.) Q.  Every admissible permutation pair is tried, in
+    lexicographic order, and the smallest (d, -g, dv, h) wins; ties keep the
+    first.  The search runs on A scaled to integers.
     """
     a.require_finite("canonical_form")
+    s = _scale(a)
+    g = _grid(a, s)
     best = None
-    for pi, tau in _admissible_pairs(a):
-        result = _try_candidate(a, pi, tau)
-        if result is None:
+    for pi, tau in _pairs(g):
+        cand = _candidate(g, pi, tau)
+        if cand is None:
             continue
-        if monomial_act(result.P, a, result.Q) != result.F:
+        key, p_mon, q_mon, f = cand
+        if _act(p_mon, g, q_mon) != f:
             raise InternalInconsistencyError("P, Q composition check failed")
-        p = result.params
-        key = (p.d, -p.g, p.dv, p.h)
         if best is None or key < best[0]:
-            best = (key, result)
+            best = cand
     if best is None:
         raise InternalInconsistencyError("no admissible normalization canonicalizes")
-    return best[1]
+    (d, neg_g, dv, h), p_mon, q_mon, _ = best
+    p = CanonicalParams(Fraction(d, s), tuple(Fraction(v, s) for v in dv),
+                        tuple(Fraction(v, s) for v in h), Fraction(-neg_g, s))
+    return CanonicalResult(p, _unscale_monomial(p_mon, s),
+                           _unscale_monomial(q_mon, s), make_F(p))

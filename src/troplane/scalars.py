@@ -15,14 +15,37 @@ from .errors import BottomArithmeticError, ParseError
 
 RationalLike = Union[Fraction, int, str]
 
+# Size bound on rational literals, checked on the text before it is parsed:
+# at most MAX_LITERAL_DIGITS digits in all (numerator, denominator and
+# decimals) and an exponent of at most MAX_EXPONENT in magnitude.  No literal
+# then builds an integer of more than 200 digits.
+MAX_LITERAL_DIGITS = 100
+MAX_EXPONENT = 100
+
+
+def _check_literal_size(text: str) -> None:
+    mantissa, _, exponent = text.lower().partition("e")
+    if sum(c.isdecimal() for c in mantissa) > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"rational literal has more than {MAX_LITERAL_DIGITS} digits")
+    digits = "".join(c for c in exponent if c.isdecimal()).lstrip("0")
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+        raise ParseError(
+            f"rational literal exponent exceeds {MAX_EXPONENT} in magnitude")
+
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
+    """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
+
+    Strings must respect the literal size bound (MAX_LITERAL_DIGITS,
+    MAX_EXPONENT); a longer one raises ParseError before it is parsed.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        _check_literal_size(x)
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -26,10 +26,17 @@ _RAY_DIRS = {
 
 
 def fmt(v: Fraction) -> str:
-    """Fixed-precision decimal rendering of an exact rational."""
+    """Fixed-precision decimal rendering of an exact rational.
+
+    The division keeps 50 significant digits, which holds six decimals up to
+    |v| < 10^44; a larger value is divided again with the digits it needs.
+    """
     with localcontext() as ctx:
         ctx.prec = 50
         d = Decimal(v.numerator) / Decimal(v.denominator)
+        if d.adjusted() > 43:
+            ctx.prec = d.adjusted() + 8
+            d = Decimal(v.numerator) / Decimal(v.denominator)
         return str(d.quantize(_QUANTUM, rounding=ROUND_HALF_EVEN))
 
 

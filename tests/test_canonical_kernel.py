@@ -1,0 +1,92 @@
+"""The scaled-integer canonical-form kernel against the Fraction oracle.
+
+``fraction_oracle`` is the same orbit search run on ``Fraction`` entries.
+Both must return the same parameters, the same P and Q, and the same F.
+"""
+
+import itertools
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import fraction_oracle as oracle
+from troplane.errors import InternalInconsistencyError
+from troplane.matrices import TropMatrix3, power
+from troplane.normalform import (
+    _idempotent,
+    canonical_form,
+    canonical_idempotent,
+    normalize,
+)
+from troplane.randgen import rand_matrix
+
+PAIR_COUNTS = (6, 12, 18, 24, 36)
+
+
+def _same_as_oracle(a):
+    got, want = canonical_form(a), oracle.canonical_form(a)
+    assert got.params == want.params, a
+    assert got.P == want.P, a
+    assert got.Q == want.Q, a
+    assert got.F == want.F, a
+
+
+def _large(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(10**5, 10**12),
+                    rng.choice((1, 2, 3, 5, 7, 9, 11)))
+
+
+def test_generic_matrices_match_oracle():
+    rng = random.Random(41)
+    for _ in range(150):
+        _same_as_oracle(rand_matrix(rng))
+
+
+def test_large_numerators_match_oracle():
+    rng = random.Random(42)
+    for _ in range(40):
+        _same_as_oracle(TropMatrix3.of(
+            [[_large(rng) for _ in range(3)] for _ in range(3)]))
+
+
+def test_tie_matrices_match_oracle_at_every_pair_count():
+    rng = random.Random(43)
+    cube = list(itertools.product((-1, 0, 1), repeat=9))
+    rng.shuffle(cube)
+    seen = Counter()
+    for e in cube:
+        a = TropMatrix3.of([e[0:3], e[3:6], e[6:9]])
+        pairs = len(list(oracle._admissible_pairs(a)))
+        if seen[pairs] == 6:
+            continue
+        seen[pairs] += 1
+        _same_as_oracle(a)
+        if all(seen[k] == 6 for k in PAIR_COUNTS):
+            break
+    assert sorted(seen) == list(PAIR_COUNTS)
+    assert all(seen[k] == 6 for k in PAIR_COUNTS)
+
+
+def test_normalize_and_idempotent_match_oracle():
+    rng = random.Random(44)
+    for _ in range(60):
+        a = rand_matrix(rng)
+        rows = [list(r) for r in a.rows]
+        for k in rng.sample(range(9), rng.randint(0, 3)):
+            if k // 3 != k % 3:  # keep the diagonal, so rows stay finite
+                rows[k // 3][k % 3] = None
+        b = TropMatrix3.of([[None if e is None else e.value for e in r]
+                            for r in rows])
+        assert normalize(b) == oracle.normalize(b)
+        square = power(normalize(a).N, 2)
+        assert canonical_idempotent(square) == oracle.canonical_idempotent(square)
+
+
+def test_side_lengths_off_the_lattice_are_an_internal_error():
+    # L(1/3, (0, 0, 1)) unscaled: t4 - t3 = 1, which the factor 3 of the
+    # scale would have made divisible by 3
+    with pytest.raises(InternalInconsistencyError):
+        _idempotent([[0, 0, 0], [-1, 0, 0], [-2, -2, 0]])
+    assert _idempotent([[0, 0, 0], [-3, 0, 0], [-6, -6, 0]])[:2] == (1, (0, 0, 3))

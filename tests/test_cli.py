@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from troplane import scalars
 from troplane.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -11,6 +13,7 @@ from troplane.cli import (
 )
 from troplane.errors import InvalidMatrixError, ParseError
 from troplane.matrices import TropMatrix3
+from troplane.scalars import MAX_EXPONENT, MAX_LITERAL_DIGITS, as_fraction
 
 TWO_ANTENNA_DOC = ('{"entries":[["0","-5","0"],["-7","0","0"],'
                    '["-6","-1","0"]]}')
@@ -132,3 +135,105 @@ def test_verify_seed_determinism(capsys):
 def test_verify_rejects_bad_trials(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+def _input_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input"
+    return err["reason"]
+
+
+def test_analyze_directory_input_is_input_error(tmp_path, capsys):
+    assert main(["analyze", "--input", str(tmp_path)]) == EXIT_INPUT_ERROR
+    assert "cannot read input" in _input_error(capsys)
+
+
+def test_analyze_missing_input_is_input_error(tmp_path, capsys):
+    path = str(tmp_path / "absent.json")
+    assert main(["analyze", "--input", path]) == EXIT_INPUT_ERROR
+    assert "cannot read input" in _input_error(capsys)
+
+
+def test_analyze_non_utf8_input_is_input_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"entries": "\xff\xfe"}')
+    assert main(["analyze", "--input", str(path)]) == EXIT_INPUT_ERROR
+    assert "utf-8" in _input_error(capsys)
+
+
+def test_figure_output_to_directory_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path, "m.json", TWO_ANTENNA_DOC)
+    assert main(["figure", "--input", path,
+                 "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+    assert "cannot write output" in _input_error(capsys)
+
+
+def test_parse_matrix_rejects_deep_nesting_and_huge_json_integers():
+    with pytest.raises(ParseError):
+        parse_matrix('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ParseError):
+        parse_matrix('{"entries": 1' + "0" * 5000 + "}")
+
+
+class _NoParse(Fraction):
+    """Stands in for Fraction: fails the test if a literal reaches it."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError(f"literal parsed: {args!r}")
+
+
+def test_literal_bound_rejects_just_above_threshold_before_parsing(monkeypatch):
+    assert (MAX_LITERAL_DIGITS, MAX_EXPONENT) == (100, 100)
+    monkeypatch.setattr(scalars, "Fraction", _NoParse)
+    too_big = [
+        "1" * 101,
+        "-" + "9" * 50 + "/" + "7" * 51,
+        "0." + "0" * 100,
+        "1e101",
+        "-1E-101",
+        "1e+00000101",
+        "1e99999",
+        "1e" + "9" * 5000,
+    ]
+    for literal in too_big:
+        with pytest.raises(ParseError):
+            as_fraction(literal)
+
+
+def test_literal_bound_accepts_the_threshold():
+    assert as_fraction("1" * 100) == int("1" * 100)
+    assert as_fraction("9" * 50 + "/" + "7" * 50) == Fraction(
+        int("9" * 50), int("7" * 50))
+    assert as_fraction("1e100") == 10**100
+    assert as_fraction("-1E-100") == Fraction(-1, 10**100)
+    assert as_fraction("1e+00000100") == 10**100
+
+
+def test_analyze_rejects_oversized_entry(tmp_path, capsys):
+    doc = ('{"entries":[["0","1e99999","0"],["-7","0","0"],'
+           '["-6","-1","0"]]}')
+    path = _write(tmp_path, "m.json", doc)
+    assert main(["analyze", "--input", path]) == EXIT_INPUT_ERROR
+    assert "entry (1,2)" in _input_error(capsys)
+
+
+def test_figure_viewport_bound(tmp_path, capsys):
+    path = _write(tmp_path, "m.json", TWO_ANTENNA_DOC)
+    assert main(["figure", "--input", path,
+                 "--viewport=0,1e99999,0,1"]) == EXIT_INPUT_ERROR
+    assert "exponent" in _input_error(capsys)
+    assert main(["figure", "--input", path,
+                 "--viewport=0,1e100,0,1"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("<?xml")
+
+
+def test_figure_with_entries_past_fifty_digits(tmp_path, capsys):
+    doc = ('{"entries":[["0","-1e60","0"],["-7","0","0"],'
+           '["-6","-1","0"]]}')
+    path = _write(tmp_path, "m.json", doc)
+    assert main(["figure", "--input", path]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "-1" + "0" * 60 + ".000000" in captured.out
