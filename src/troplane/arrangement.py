@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .errors import InternalInconsistencyError, NoSuchAntennaError, NotNormalError
-from .matrices import TropMatrix3, is_normal
+from .matrices import TropMatrix3, is_normal, scale, scaled
 from .normalform import CanonicalParams, read_params
 from .projective import AffinePoint
 
@@ -67,11 +66,10 @@ class Arrangement:
 
 def signature_at(a: TropMatrix3, p: AffinePoint) -> CellSignature:
     """Argmax signature of the three row forms at the chart point p."""
-    coords = (p.x, p.y, Fraction(0))
+    coords = (p.x, p.y, 0)
     sets = []
-    for row in a.rows:
-        vals = [e.value + coords[j] if not e.is_bottom else None
-                for j, e in enumerate(row)]
+    for row in a.values:
+        vals = [None if e is None else e + c for e, c in zip(row, coords)]
         best = max(v for v in vals if v is not None)
         sets.append(frozenset(j + 1 for j, v in enumerate(vals) if v == best))
     return CellSignature(*sets)
@@ -150,7 +148,7 @@ def _interval(lo, hi):
 _DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
 
 
-def _feasible_cell(entries, sig, scale):
+def _feasible_cell(entries, sig, s):
     cons = _constraints_for(entries, sig)
     if cons is None:
         return None
@@ -204,20 +202,18 @@ def _feasible_cell(entries, sig, scale):
         for u, v in _DIRS:
             if all(cx * u + cy * v <= 0 for cx, cy in halves):
                 rec.append((u, v))
-    witness = AffinePoint(Fraction(x, scale), Fraction(y, scale))
+    witness = AffinePoint(Fraction(x, s), Fraction(y, s))
     return dim, bounded, witness, tuple(rec)
 
 
 def enumerate_cells(a: TropMatrix3) -> Arrangement:
     """All feasible argmax signatures with dimension, boundedness, witness."""
-    scale = lcm(*[e.value.denominator for row in a.rows
-                  for e in row if not e.is_bottom])
-    entries = [[None if e.is_bottom else int(e.value * scale) for e in row]
-               for row in a.rows]
+    s = scale(a)
+    entries = scaled(a, s)
     cells = []
     for s1, s2, s3 in product(_SUBSETS, repeat=3):
         sig = CellSignature(s1, s2, s3)
-        got = _feasible_cell(entries, sig, scale)
+        got = _feasible_cell(entries, sig, s)
         if got is None:
             continue
         dim, bounded, witness, rec = got

@@ -1,7 +1,8 @@
 """Command-line front end: JSON analysis reports, SVG figures, property runs.
 
 Exit codes: 0 success, 1 property failure, 2 input error, 3 precondition
-violation (printed as a machine-readable JSON reason).
+violation (printed as a machine-readable JSON reason).  Usage errors, such as
+an unknown flag or a non-integer --trials, are input errors too.
 """
 
 from __future__ import annotations
@@ -156,8 +157,20 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
+def _verify_seed(args) -> int:
+    """--seed, else TROPLANE_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    try:
+        return int(os.environ.get("TROPLANE_SEED") or 0)
+    except ValueError as exc:
+        raise ParseError(f"TROPLANE_SEED must be an integer: {exc}") from exc
+
+
 def cmd_verify(args) -> int:
-    results = verify.run_all(args.seed, args.trials)
+    if args.trials < 1:
+        raise ParseError("trials must be >= 1")
+    results = verify.run_all(_verify_seed(args), args.trials)
     failed = []
     for name, trials, failures in results:
         status = "pass" if not failures else f"FAIL ({len(failures)})"
@@ -172,13 +185,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _default_seed() -> int:
-    env = os.environ.get("TROPLANE_SEED")
-    return int(env) if env else 0
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ParseError, so they take the JSON error path."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="troplane",
         description="Exact tropical (max-plus) linear maps on the plane.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -194,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="matrix JSON path ('-' for stdin)")
         p.add_argument("--out", help="output path (default stdout)")
     figure_p.add_argument("--viewport", help='bounds "xmin,xmax,ymin,ymax"')
-    verify_p.add_argument("--seed", type=int, default=_default_seed())
+    verify_p.add_argument("--seed", type=int)
     verify_p.add_argument("--trials", type=int, default=200)
 
     analyze_p.set_defaults(func=cmd_analyze)
@@ -204,11 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
-        print(json.dumps({"error": "trials must be >= 1"}), file=sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, InvalidMatrixError) as exc:
         print(json.dumps({"error": "input", "reason": str(exc)}),

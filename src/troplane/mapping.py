@@ -19,10 +19,10 @@ from .arrangement import (
     signature_at,
 )
 from .errors import InternalInconsistencyError, NonFiniteEntryError
-from .matrices import TropMatrix3, is_monomial_pattern, power
+from .matrices import TropMatrix3, grid_mul, is_monomial_pattern, power
 from .normalform import read_params
 from .projective import AffinePoint, ProjPoint, chart, point
-from .scalars import BOTTOM, t_add, t_mul, trop
+from .scalars import BOTTOM, TropScalar
 
 BIJECTIVE = "bijective-monomial"
 NON_BIJECTIVE = "non-injective-non-surjective"
@@ -34,13 +34,8 @@ PROJECTION = "parallel-projection"
 
 def apply(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
     """Tropical matrix-vector product."""
-    out = []
-    for row in a.rows:
-        acc = BOTTOM
-        for e, c in zip(row, p.coords):
-            acc = t_add(acc, t_mul(e, c))
-        out.append(acc)
-    return ProjPoint(tuple(out))
+    out = grid_mul(a.values, [[c.value] for c in p.coords])
+    return ProjPoint(tuple(BOTTOM if x is None else TropScalar(x) for (x,) in out))
 
 
 def project(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
@@ -48,13 +43,10 @@ def project(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
     a.require_finite("project")
     if not p.all_finite():
         raise NonFiniteEntryError("project requires a finite point")
-    out = [BOTTOM, BOTTOM, BOTTOM]
-    for j in range(3):
-        col = [a.rows[i][j] for i in range(3)]
-        lam = min(p.coords[i].value - col[i].value for i in range(3))
-        for i in range(3):
-            out[i] = t_add(out[i], t_mul(col[i], trop(lam)))
-    return ProjPoint(tuple(out))
+    v, q = a.values, [c.value for c in p.coords]
+    # column j scaled by the largest lam_j with a_ij + lam_j <= p_i for all i
+    lam = [[min(q[i] - v[i][j] for i in range(3))] for j in range(3)]
+    return ProjPoint(tuple(TropScalar(x) for (x,) in grid_mul(v, lam)))
 
 
 def is_fixed(a: TropMatrix3, p: ProjPoint) -> bool:
@@ -127,7 +119,7 @@ def _on_segment(q: AffinePoint, base: AffinePoint, tip: AffinePoint) -> bool:
 
 def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
     """Behavior of the map of a canonical-form matrix on every 2-cell."""
-    from .triangle import Antenna, member, _ANT_SLOTS
+    from .triangle import Antenna, antenna_slots, member
 
     f.require_finite("piecewise_report")
     p = read_params(f)
@@ -135,12 +127,8 @@ def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
 
     square = power(f, 2)
     antenna_sigs = {}
-    slot_values = {"h1": p.h[0], "h2": p.h[1], "h3": p.h[2], "g": p.g}
-    for name, value in slot_values.items():
-        if value <= 0:
-            continue
-        col, direction = _ANT_SLOTS[name] if name != "g" else (2, "S")
-        ant = Antenna(square.column(col), direction, value)
+    for name, col, direction, length in antenna_slots(p):
+        ant = Antenna(square.column(col), direction, length)
         _, wit = _antenna_region(p, name)
         antenna_sigs[_antenna_two_cell(f, arr, wit).signature] = ant
 

@@ -8,6 +8,7 @@ construction and assumed by all operations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,25 +19,33 @@ from .errors import (
     NotNormalError,
 )
 from .projective import ProjPoint, TropLine
-from .scalars import BOTTOM, ZERO, RationalLike, TropScalar, as_fraction, t_add, t_mul, trop
+from .scalars import BOTTOM, RationalLike, TropScalar, as_fraction, t_mul
 
 Entry = RationalLike | None  # None stands for -inf in matrix literals
 
 
 class TropMatrix3:
-    """An immutable 3x3 max-plus matrix with a finite entry in each row and column."""
+    """An immutable 3x3 max-plus matrix with a finite entry in each row and column.
 
-    __slots__ = ("rows",)
+    It is stored only as `values`, a 3x3 tuple grid of Fractions with None
+    for -inf, on which the grid primitives below work.
+    """
+
+    __slots__ = ("values",)
 
     def __init__(self, rows: tuple[tuple[TropScalar, ...], ...]):
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        self._set_values(tuple(e.value for e in r) for r in rows)
+
+    def _set_values(self, grid) -> None:
+        values = tuple(tuple(r) for r in grid)
+        if len(values) != 3 or any(len(r) != 3 for r in values):
             raise InvalidMatrixError("expected a 3x3 grid")
         for i in range(3):
-            if all(rows[i][j].is_bottom for j in range(3)):
+            if all(values[i][j] is None for j in range(3)):
                 raise InvalidMatrixError(f"row {i + 1} has no finite entry")
-            if all(rows[j][i].is_bottom for j in range(3)):
+            if all(values[j][i] is None for j in range(3)):
                 raise InvalidMatrixError(f"column {i + 1} has no finite entry")
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "values", values)
 
     def __setattr__(self, *a):
         raise AttributeError("TropMatrix3 is immutable")
@@ -44,46 +53,54 @@ class TropMatrix3:
     @staticmethod
     def of(entries) -> "TropMatrix3":
         """Build from a 3x3 nest of rational-likes; None means -inf."""
-        return TropMatrix3(tuple(
-            tuple(BOTTOM if e is None else trop(e) for e in row) for row in entries))
+        m = object.__new__(TropMatrix3)
+        m._set_values([None if e is None else as_fraction(e) for e in row]
+                      for row in entries)
+        return m
 
     @staticmethod
     def from_columns(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> "TropMatrix3":
         cols = (p, q, r)
         return TropMatrix3(tuple(tuple(cols[j][i] for j in range(3)) for i in range(3)))
 
+    @property
+    def rows(self) -> tuple[tuple[TropScalar, ...], ...]:
+        """The entries as TropScalars."""
+        return tuple(tuple(map(_scalar, r)) for r in self.values)
+
     def entry(self, i: int, j: int) -> TropScalar:
-        return self.rows[i][j]
+        return _scalar(self.values[i][j])
 
     def column(self, j: int) -> ProjPoint:
-        return ProjPoint(tuple(self.rows[i][j] for i in range(3)))
+        return ProjPoint(tuple(_scalar(r[j]) for r in self.values))
 
     def row_line(self, i: int) -> TropLine:
         return TropLine(ProjPoint(self.rows[i]))
 
     def all_finite(self) -> bool:
-        return all(not e.is_bottom for row in self.rows for e in row)
+        return all(x is not None for row in self.values for x in row)
 
     def require_finite(self, what: str = "operation") -> None:
         if not self.all_finite():
             raise NonFiniteEntryError(f"{what} requires all nine entries finite")
 
     def entrywise_max(self, other: "TropMatrix3") -> "TropMatrix3":
-        return TropMatrix3(tuple(
-            tuple(t_add(self.rows[i][j], other.rows[i][j]) for j in range(3))
-            for i in range(3)))
+        return TropMatrix3.of(
+            [x if y is None or (x is not None and x >= y) else y
+             for x, y in zip(r, s)] for r, s in zip(self.values, other.values))
 
     def entrywise_le(self, other: "TropMatrix3") -> bool:
-        return all(self.rows[i][j] <= other.rows[i][j]
-                   for i in range(3) for j in range(3))
+        return all(x is None or (y is not None and x <= y)
+                   for r, s in zip(self.values, other.values)
+                   for x, y in zip(r, s))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropMatrix3):
             return NotImplemented
-        return self.rows == other.rows
+        return self.values == other.values
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.values)
 
     def __str__(self) -> str:
         return "[" + "; ".join(
@@ -93,22 +110,90 @@ class TropMatrix3:
         return f"TropMatrix3({self})"
 
 
+def _scalar(x: Fraction | None) -> TropScalar:
+    return BOTTOM if x is None else TropScalar(x)
+
+
 IDENTITY = TropMatrix3.of([[0, None, None], [None, 0, None], [None, None, 0]])
 ZERO_MATRIX = TropMatrix3.of([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
+# --- Grid primitives -------------------------------------------------------
+# A grid is a 3x3 nest of Fractions, or of those values times a common scale
+# as ints (see scaled), with None for -inf.  The primitives only add and
+# compare, so one copy serves both.  They return lists.
+
+PERMS = tuple(itertools.permutations(range(3)))
+
+
+def grid_mul(a, b) -> list[list]:
+    """Max-plus product of grids, max_k a_ik + b_kj; b may be a 3x1 column."""
+    cols = range(len(b[0]))
+    out = []
+    for r in a:
+        row = []
+        for j in cols:
+            best = None
+            for k in range(3):
+                x, y = r[k], b[k][j]
+                if x is not None and y is not None:
+                    s = x + y
+                    if best is None or s > best:
+                        best = s
+            row.append(best)
+        out.append(row)
+    return out
+
+
+def grid_is_normal(g) -> bool:
+    """True iff the diagonal is zero and every entry is <= 0."""
+    return (g[0][0] == g[1][1] == g[2][2] == 0
+            and all(x is None or x <= 0 for row in g for x in row))
+
+
+def grid_act(p: MonomialMatrix, g, q: MonomialMatrix) -> list[list]:
+    """P (.) G (.) Q for monomial P and Q, applied as an index map.
+
+    Row i of P carries u_i in column πP(i) and row k of Q carries v_k in
+    column πQ(k), so entry (i, πQ(k)) of the product is u_i + G[πP(i)][k] + v_k,
+    and -inf entries stay -inf.  No max-plus product is formed.  The offsets
+    of P and Q must be on the same scale as G.
+    """
+    out = [[None] * 3 for _ in range(3)]
+    q_perm, q_offs = q.perm, q.offsets
+    for i in range(3):
+        src, u, row = g[p.perm[i]], p.offsets[i], out[i]
+        for k in range(3):
+            if src[k] is not None:
+                row[q_perm[k]] = u + src[k] + q_offs[k]
+    return out
+
+
+def assignment_sums(g) -> list:
+    """g[0][σ(0)] + g[1][σ(1)] + g[2][σ(2)] for each σ in PERMS, None when
+    the assignment picks a -inf entry."""
+    out = []
+    for perm in PERMS:
+        x, y, z = g[0][perm[0]], g[1][perm[1]], g[2][perm[2]]
+        out.append(None if x is None or y is None or z is None else x + y + z)
+    return out
+
+
+def scale(a: TropMatrix3) -> int:
+    """The lcm of the denominators of the finite entries of A."""
+    return math.lcm(*(x.denominator for row in a.values for x in row
+                      if x is not None))
+
+
+def scaled(a: TropMatrix3, s: int) -> list[list]:
+    """The grid of A times s, as ints; s must be a multiple of scale(A)."""
+    return [[None if x is None else x.numerator * (s // x.denominator)
+             for x in row] for row in a.values]
+
+
 def mul(a: TropMatrix3, b: TropMatrix3) -> TropMatrix3:
     """Tropical matrix product: entry (i,j) = max_k a_ik + b_kj."""
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = BOTTOM
-            for k in range(3):
-                acc = t_add(acc, t_mul(a.rows[i][k], b.rows[k][j]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return TropMatrix3(tuple(rows))
+    return TropMatrix3.of(grid_mul(a.values, b.values))
 
 
 def power(a: TropMatrix3, k: int) -> TropMatrix3:
@@ -123,16 +208,11 @@ def power(a: TropMatrix3, k: int) -> TropMatrix3:
 
 def chart0(a: TropMatrix3) -> TropMatrix3:
     """Shift each column so its third entry is 0 (the Z=0 picture of the columns)."""
-    for j in range(3):
-        if a.rows[2][j].is_bottom:
-            raise BoundaryPointError("chart0 needs a finite third row")
-    rows = []
-    for i in range(3):
-        rows.append(tuple(
-            TropScalar(a.rows[i][j].value - a.rows[2][j].value)
-            if not a.rows[i][j].is_bottom else BOTTOM
-            for j in range(3)))
-    return TropMatrix3(tuple(rows))
+    z = a.values[2]
+    if None in z:
+        raise BoundaryPointError("chart0 needs a finite third row")
+    return TropMatrix3.of([None if x is None else x - z[j] for j, x in enumerate(row)]
+                          for row in a.values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,21 +227,11 @@ def trop_det(a: TropMatrix3) -> DetResult:
     The matrix is regular when the maximum is attained by exactly one
     permutation; otherwise it is tropically singular.
     """
-    best = BOTTOM
-    count = 0
-    for perm in itertools.permutations(range(3)):
-        s = ZERO
-        for i, j in enumerate(perm):
-            s = t_mul(s, a.rows[i][j])
-        if s.is_bottom:
-            continue
-        if best.is_bottom or s.value > best.value:
-            best, count = s, 1
-        elif s.value == best.value:
-            count += 1
-    if count == 0:
+    sums = [s for s in assignment_sums(a.values) if s is not None]
+    if not sums:
         return DetResult(BOTTOM, False)  # all six sums are -inf: singular
-    return DetResult(best, count == 1)
+    best = max(sums)
+    return DetResult(TropScalar(best), sums.count(best) == 1)
 
 
 def adjoint_hat(a: TropMatrix3) -> TropMatrix3:
@@ -177,32 +247,22 @@ def adjoint_hat(a: TropMatrix3) -> TropMatrix3:
 
 def breve(a: TropMatrix3) -> TropMatrix3:
     """Auxiliary operator: zero diagonal, entry (i,j) = a_ik + a_kj for the third index k."""
-    for i in range(3):
-        if a.rows[i][i].is_bottom:
-            raise NonFiniteEntryError("breve requires a finite diagonal")
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            if i == j:
-                row.append(ZERO)
-            else:
-                k = 3 - i - j
-                row.append(t_mul(a.rows[i][k], a.rows[k][j]))
-        rows.append(tuple(row))
-    return TropMatrix3(tuple(rows))
+    v = a.values
+    if v[0][0] is None or v[1][1] is None or v[2][2] is None:
+        raise NonFiniteEntryError("breve requires a finite diagonal")
+
+    def through(i, j):
+        k = 3 - i - j
+        x, y = v[i][k], v[k][j]
+        return None if x is None or y is None else x + y
+
+    return TropMatrix3.of([0 if i == j else through(i, j) for j in range(3)]
+                          for i in range(3))
 
 
 def is_normal(a: TropMatrix3) -> bool:
     """True iff the diagonal is zero and every entry is <= 0."""
-    for i in range(3):
-        if a.rows[i][i] != ZERO:
-            return False
-        for j in range(3):
-            e = a.rows[i][j]
-            if not e.is_bottom and e.value > 0:
-                return False
-    return True
+    return grid_is_normal(a.values)
 
 
 def kleene_star(a: TropMatrix3) -> TropMatrix3:
@@ -235,19 +295,13 @@ class MonomialMatrix:
     def from_matrix(a: TropMatrix3) -> "MonomialMatrix":
         if not is_monomial_pattern(a):
             raise InvalidMatrixError("matrix does not have a monomial pattern")
-        perm, offs = [], []
-        for i in range(3):
-            j = next(j for j in range(3) if not a.rows[i][j].is_bottom)
-            perm.append(j)
-            offs.append(a.rows[i][j].value)
-        return MonomialMatrix(tuple(perm), tuple(offs))
+        perm = tuple(next(j for j in range(3) if row[j] is not None)
+                     for row in a.values)
+        return MonomialMatrix(perm, tuple(row[j] for row, j in zip(a.values, perm)))
 
     def to_matrix(self) -> TropMatrix3:
-        rows = []
-        for i in range(3):
-            rows.append(tuple(TropScalar(self.offsets[i]) if j == self.perm[i] else BOTTOM
-                              for j in range(3)))
-        return TropMatrix3(tuple(rows))
+        return TropMatrix3.of([off if j == k else None for j in range(3)]
+                              for k, off in zip(self.perm, self.offsets))
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         perm = tuple(other.perm[self.perm[i]] for i in range(3))
@@ -272,27 +326,15 @@ class MonomialMatrix:
 
 
 def monomial_act(p: MonomialMatrix, a: TropMatrix3, q: MonomialMatrix) -> TropMatrix3:
-    """P ⊙ A ⊙ Q for monomial P and Q, applied as an index map.
-
-    Row i of P carries u_i in column πP(i) and row k of Q carries v_k in
-    column πQ(k), so entry (i, πQ(k)) of the product is u_i + A[πP(i)][k] + v_k,
-    and -inf entries stay -inf.  No max-plus product is formed.
-    """
-    rows = [[BOTTOM] * 3 for _ in range(3)]
-    for i in range(3):
-        src, u, out = a.rows[p.perm[i]], p.offsets[i], rows[i]
-        for k in range(3):
-            e = src[k]
-            if not e.is_bottom:
-                out[q.perm[k]] = TropScalar(u + e.value + q.offsets[k])
-    return TropMatrix3(tuple(tuple(r) for r in rows))
+    """P ⊙ A ⊙ Q for monomial P and Q, applied as an index map (grid_act)."""
+    return TropMatrix3.of(grid_act(p, a.values, q))
 
 
 def is_monomial_pattern(a: TropMatrix3) -> bool:
     """True iff A has exactly one finite entry in each row and each column."""
     cols_seen = set()
-    for i in range(3):
-        finite = [j for j in range(3) if not a.rows[i][j].is_bottom]
+    for row in a.values:
+        finite = [j for j in range(3) if row[j] is not None]
         if len(finite) != 1:
             return False
         cols_seen.add(finite[0])

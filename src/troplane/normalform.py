@@ -20,8 +20,6 @@ exactly those of the same search over Fraction.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,15 +27,23 @@ from .errors import (
     ConstraintViolationError,
     DegenerateError,
     InternalInconsistencyError,
+    NonFiniteEntryError,
+    NotCanonicalError,
     NotIdempotentError,
     ParameterRangeError,
 )
 from .matrices import (
     CYCLIC,
+    PERMS,
     MonomialMatrix,
     TropMatrix3,
+    assignment_sums,
+    grid_act,
+    grid_is_normal,
+    grid_mul,
     is_normal,
-    power,
+    scale,
+    scaled,
 )
 from .scalars import RationalLike, as_fraction
 
@@ -157,24 +163,22 @@ def read_params(f: TropMatrix3) -> CanonicalParams:
     Inverts the make_F entry pattern exactly; raises NotCanonicalError when
     the matrix is not a valid canonical form.
     """
-    from .errors import NotCanonicalError
-
     f.require_finite("read_params")
-    if not is_normal(f):
+    v = f.values
+    if not grid_is_normal(v):
         raise NotCanonicalError("canonical form must be normal")
-    b = power(f, 2)
-    if power(b, 2) != b:
+    e = grid_mul(v, v)
+    if grid_mul(e, e) != e:
         raise NotCanonicalError("square of a canonical form must be idempotent")
-    e = [[x.value for x in row] for row in b.rows]
     d_candidates = {e[1][2] - e[0][2], e[2][0] - e[1][0], e[0][1] - e[2][1]}
     if len(d_candidates) != 1:
         raise NotCanonicalError("square does not match the model pattern")
     d = d_candidates.pop()
     dv = (-e[2][0] - d, -e[0][1] - d, -e[1][2] - d)
-    if d < 0 or any(v < -d for v in dv) or b != make_L(d, dv):
+    if d < 0 or any(x < -d for x in dv) or e != _l_rows(d, dv):
         raise NotCanonicalError("square does not match the model pattern")
-    resid = [[e[i][j] - f.rows[i][j].value for j in range(3)] for i in range(3)]
-    if any(v < 0 for row in resid for v in row):
+    resid = [[e[i][j] - v[i][j] for j in range(3)] for i in range(3)]
+    if any(x < 0 for row in resid for x in row):
         raise NotCanonicalError("negative residual against the model")
     if resid[2][0] != 0 or resid[0][1] != 0:
         raise NotCanonicalError("g-residual off slot 3")
@@ -188,73 +192,30 @@ def read_params(f: TropMatrix3) -> CanonicalParams:
 
 # --- The scaled-integer kernel ---------------------------------------------
 #
-# A grid is a 3x3 list of ints, None for -inf: a matrix multiplied by its
-# scale s = 3 * lcm(denominators).  Every step below only adds, subtracts and
-# compares, except d = (t4 - t3) / 3, which the factor 3 keeps integral.
-# Monomial matrices in the kernel are MonomialMatrix values with int offsets.
+# The kernel runs on matrices.scaled(A, s) with s = 3 * scale(A): int grids,
+# None for -inf.  Every step below only adds, subtracts and compares, except
+# d = (t4 - t3) / 3, which the factor 3 keeps integral.  Monomial matrices in
+# the kernel are MonomialMatrix values with int offsets.
 
 Grid = list[list]
 
-_PERMS = tuple(itertools.permutations(range(3)))
-_INVERSE = {p: tuple(p.index(i) for i in range(3)) for p in _PERMS}
+_INVERSE = {p: tuple(p.index(i) for i in range(3)) for p in PERMS}
 # Every (pi, tau) in lexicographic order, with the index k of the assignment
-# _PERMS[k] that the diagonal a[pi[j]][tau[j]] picks out.
-_PAIRS = tuple((pi, tau, _PERMS.index(tuple(tau[pi.index(i)] for i in range(3))))
-               for pi in _PERMS for tau in _PERMS)
+# PERMS[k] that the diagonal a[pi[j]][tau[j]] picks out.
+_PAIRS = tuple((pi, tau, PERMS.index(tuple(tau[pi.index(i)] for i in range(3))))
+               for pi in PERMS for tau in PERMS)
 _CYC = MonomialMatrix(CYCLIC.perm, (0, 0, 0))
 _ROTATIONS = (MonomialMatrix((0, 1, 2), (0, 0, 0)), _CYC, _CYC @ _CYC)
-
-
-def _scale(a: TropMatrix3) -> int:
-    return 3 * math.lcm(*(e.value.denominator for row in a.rows for e in row
-                          if e.value is not None))
-
-
-def _grid(a: TropMatrix3, s: int) -> Grid:
-    return [[None if e.value is None
-             else e.value.numerator * (s // e.value.denominator) for e in row]
-            for row in a.rows]
-
-
-def _unscale_grid(g: Grid, s: int) -> TropMatrix3:
-    return TropMatrix3.of([[None if x is None else Fraction(x, s) for x in row]
-                           for row in g])
 
 
 def _unscale_monomial(m: MonomialMatrix, s: int) -> MonomialMatrix:
     return MonomialMatrix(m.perm, tuple(Fraction(x, s) for x in m.offsets))
 
 
-def _act(p: MonomialMatrix, g: Grid, q: MonomialMatrix) -> Grid:
-    """P (.) G (.) Q on a grid: the index map of matrices.monomial_act."""
-    out = [[None] * 3 for _ in range(3)]
-    q_perm, q_offs = q.perm, q.offsets
-    for i in range(3):
-        src, u, row = g[p.perm[i]], p.offsets[i], out[i]
-        for k in range(3):
-            if src[k] is not None:
-                row[q_perm[k]] = u + src[k] + q_offs[k]
-    return out
-
-
-def _square(g: Grid) -> Grid:
-    """G (.) G for an all-finite grid."""
-    return [[max(r[0] + g[0][j], r[1] + g[1][j], r[2] + g[2][j])
-             for j in range(3)] for r in g]
-
-
-def _grid_is_normal(g: Grid) -> bool:
-    return (g[0][0] == g[1][1] == g[2][2] == 0
-            and all(x is None or x <= 0 for row in g for x in row))
-
-
 def _pairs(g: Grid) -> list:
     """(pi, tau) row/column permutations whose induced diagonal is an
     optimal assignment of G, in lexicographic order."""
-    sums = []
-    for perm in _PERMS:
-        x, y, z = g[0][perm[0]], g[1][perm[1]], g[2][perm[2]]
-        sums.append(None if x is None or y is None or z is None else x + y + z)
+    sums = assignment_sums(g)
     finite = [v for v in sums if v is not None]
     if not finite:
         raise DegenerateError("matrix admits no finite assignment")
@@ -288,30 +249,34 @@ def _potentials(g: Grid, pi, tau) -> tuple[MonomialMatrix, MonomialMatrix, Grid]
                 raise InternalInconsistencyError("potential system did not converge")
     u = [w[i] - w[2] - b[i][i] for i in range(3)]
     v = [w[2] - w[j] for j in range(3)]
-    # entry (i, j) of N is u_i + b_ij + v_j
-    n = [[None if b[i][j] is None else u[i] + b[i][j] + v[j] for j in range(3)]
-         for i in range(3)]
-    if not _grid_is_normal(n):
-        raise InternalInconsistencyError("normalization produced a non-normal matrix")
     q_perm, q_offs = [0, 0, 0], [0, 0, 0]
     for j in range(3):
         q_perm[tau[j]] = j
         q_offs[tau[j]] = v[j]
-    return (MonomialMatrix(pi, tuple(u)),
-            MonomialMatrix(tuple(q_perm), tuple(q_offs)), n)
+    p_mon = MonomialMatrix(pi, tuple(u))
+    q_mon = MonomialMatrix(tuple(q_perm), tuple(q_offs))
+    # entry (i, j) of N is u_i + b_ij + v_j
+    n = grid_act(p_mon, g, q_mon)
+    if not grid_is_normal(n):
+        raise InternalInconsistencyError("normalization produced a non-normal matrix")
+    return p_mon, q_mon, n
 
 
 def _idempotent(b: Grid) -> tuple[int, tuple, MonomialMatrix]:
-    """(d, dv, M) with M^{-1} (.) B (.) M = L(d, dv), for an all-finite grid B.
+    """(d, dv, M) with M^{-1} (.) B (.) M = L(d, dv), for a normal idempotent
+    all-finite grid B, checked in that order.
 
     Relabels the coordinates, centers column 3 at the chart origin, reads the
     side lengths t1..t4 and converts them to (d, d1, d2, d3).
     """
-    if not _grid_is_normal(b):
+    if not grid_is_normal(b):
         raise NotIdempotentError("canonical_idempotent requires a normal matrix")
-    if _square(b) != b:
+    if grid_mul(b, b) != b:
         raise NotIdempotentError("matrix is not idempotent")
-    for perm in _PERMS:
+    if any(None in row for row in b):
+        raise NonFiniteEntryError(
+            "canonical_idempotent requires all nine entries finite")
+    for perm in PERMS:
         # relabel by perm; centering then subtracts c13 from row 1 and c23
         # from row 2 and adds them back to columns 1 and 2
         (_, b12, c13), (b21, _, c23), (b31, b32, _) = (
@@ -331,7 +296,7 @@ def _idempotent(b: Grid) -> tuple[int, tuple, MonomialMatrix]:
         m = (c13 + t3 + 2 * d, c23 + t3 + d, 0)
         inv = _INVERSE[perm]
         mono = MonomialMatrix(inv, tuple(m[k] for k in inv))
-        if _act(mono.inverse(), b, mono) != _l_rows(d, dv):
+        if grid_act(mono.inverse(), b, mono) != _l_rows(d, dv):
             continue
         return d, dv, mono
     raise InternalInconsistencyError("idempotent canonicalization failed")
@@ -344,11 +309,11 @@ def _candidate(g: Grid, pi, tau):
     or None when this normalization does not canonicalize.
     """
     p_norm, q_norm, n = _potentials(g, pi, tau)
-    d, dv, mono = _idempotent(_square(n))
+    d, dv, mono = _idempotent(grid_mul(n, n))
     mono_inv = mono.inverse()
-    t = _act(mono_inv, n, mono)
+    t = grid_act(mono_inv, n, mono)
     model = _l_rows(d, dv)
-    if _square(t) != model:
+    if grid_mul(t, t) != model:
         return None
 
     resid = [[model[i][j] - t[i][j] for j in range(3)] for i in range(3)]
@@ -378,7 +343,7 @@ def _candidate(g: Grid, pi, tau):
     key, r = best
 
     rot = _ROTATIONS[r]
-    f = _act(rot, t, rot.inverse())
+    f = grid_act(rot, t, rot.inverse())
     if f != _f_rows(d, key[2], key[3], -key[1]):
         raise InternalInconsistencyError("canonical matrix does not match its parameters")
     return key, rot @ mono_inv @ p_norm, q_norm @ mono @ rot.inverse(), f
@@ -387,15 +352,17 @@ def _candidate(g: Grid, pi, tau):
 def _admissible_pairs(a: TropMatrix3) -> list:
     """(pi, tau) row/column permutations whose induced diagonal is an
     optimal assignment of A, in lexicographic order."""
-    return _pairs(_grid(a, _scale(a)))
+    return _pairs(scaled(a, 3 * scale(a)))
 
 
 def _normalization_for(a: TropMatrix3, pi, tau) -> Normalization:
     """The normalization of A for a fixed optimal row/column permutation."""
-    s = _scale(a)
-    p_mon, q_mon, n = _potentials(_grid(a, s), pi, tau)
-    return Normalization(_unscale_grid(n, s), _unscale_monomial(p_mon, s),
-                         _unscale_monomial(q_mon, s))
+    s = 3 * scale(a)
+    p_mon, q_mon, n = _potentials(scaled(a, s), pi, tau)
+    return Normalization(
+        TropMatrix3.of([None if x is None else Fraction(x, s) for x in row]
+                       for row in n),
+        _unscale_monomial(p_mon, s), _unscale_monomial(q_mon, s))
 
 
 def normalize(a: TropMatrix3) -> Normalization:
@@ -417,13 +384,8 @@ def canonical_idempotent(b: TropMatrix3):
     monomial matrix.  Centers column 3 at the chart origin, reads the side
     lengths t1..t4 and converts them to (d, d1, d2, d3).
     """
-    if not is_normal(b):
-        raise NotIdempotentError("canonical_idempotent requires a normal matrix")
-    if power(b, 2) != b:
-        raise NotIdempotentError("matrix is not idempotent")
-    b.require_finite("canonical_idempotent")
-    s = _scale(b)
-    d, dv, mono = _idempotent(_grid(b, s))
+    s = 3 * scale(b)
+    d, dv, mono = _idempotent(scaled(b, s))
     return Fraction(d, s), tuple(Fraction(v, s) for v in dv), _unscale_monomial(mono, s)
 
 
@@ -436,15 +398,15 @@ def canonical_form(a: TropMatrix3) -> CanonicalResult:
     first.  The search runs on A scaled to integers.
     """
     a.require_finite("canonical_form")
-    s = _scale(a)
-    g = _grid(a, s)
+    s = 3 * scale(a)
+    g = scaled(a, s)
     best = None
     for pi, tau in _pairs(g):
         cand = _candidate(g, pi, tau)
         if cand is None:
             continue
         key, p_mon, q_mon, f = cand
-        if _act(p_mon, g, q_mon) != f:
+        if grid_act(p_mon, g, q_mon) != f:
             raise InternalInconsistencyError("P, Q composition check failed")
         if best is None or key < best[0]:
             best = cand

@@ -180,10 +180,8 @@ def render_figure(a: TropMatrix3, viewport: Viewport = DEFAULT_VIEWPORT) -> str:
     soma = [transport(v) for v in _soma_polygon(hrep)]
 
     lines = []
-    for i in range(3):
-        line = a.row_line(i)
-        coeffs = [line.coeffs[j].value for j in range(3)]
-        vertex = AffinePoint(coeffs[2] - coeffs[0], coeffs[2] - coeffs[1])
+    for c1, c2, c3 in a.values:
+        vertex = AffinePoint(c3 - c1, c3 - c2)
         path = _tripod_path(vertex, vp)
         if path:
             lines.append(path)
@@ -194,14 +192,9 @@ def render_figure(a: TropMatrix3, viewport: Viewport = DEFAULT_VIEWPORT) -> str:
             f"M {_svg_xy(chart(ant.base))} L {_svg_xy(chart(ant.tip))}")
 
     labels = []
-    c0 = chart0(a)
-    for j in range(3):
-        v = AffinePoint(c0.rows[0][j].value, c0.rows[1][j].value)
-        labels.append((f"a{j + 1}", v))
-    sq = chart0(power(a, 2))
-    for j in range(3):
-        v = AffinePoint(sq.rows[0][j].value, sq.rows[1][j].value)
-        labels.append((f"s{j + 1}", v))
+    for prefix, m in (("a", a), ("s", power(a, 2))):
+        xs, ys, _ = chart0(m).values
+        labels += [(f"{prefix}{j + 1}", AffinePoint(xs[j], ys[j])) for j in range(3)]
 
     width = fmt(vp.x_max - vp.x_min)
     height = fmt(vp.y_max - vp.y_min)

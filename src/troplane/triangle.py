@@ -64,7 +64,7 @@ def is_good(a: TropMatrix3) -> bool:
     Checked by six slack inequalities on the raw entries; no normalization.
     """
     a.require_finite("is_good")
-    e = [[x.value for x in row] for row in a.rows]
+    e = a.values
     chains = [
         (e[0][1] - e[1][1], e[0][2] - e[1][2], e[0][0] - e[1][0]),
         (e[1][2] - e[2][2], e[1][0] - e[2][0], e[1][1] - e[2][1]),
@@ -83,8 +83,14 @@ def soma_dimension(p: CanonicalParams) -> int:
     return 2
 
 
-# antenna slot -> (canonical column index, canonical direction)
-_ANT_SLOTS = {"h1": (0, SOUTH), "h2": (1, NORTH_EAST), "h3": (2, WEST)}
+def antenna_slots(p: CanonicalParams):
+    """(name, column of F⊙F, direction, length) of each antenna of the
+    canonical form with parameters p, in h1, h2, h3, g order."""
+    for name, col, direction, length in (
+            ("h1", 0, SOUTH, p.h[0]), ("h2", 1, NORTH_EAST, p.h[1]),
+            ("h3", 2, WEST, p.h[2]), ("g", 2, SOUTH, p.g)):
+        if length > 0:
+            yield name, col, direction, length
 
 
 def _classify_direction(dx: Fraction, dy: Fraction) -> str:
@@ -119,14 +125,8 @@ def analyze(a: TropMatrix3) -> TriangleReport:
     p = result.params
     square = power(result.F, 2)
     back = result.P.inverse()
-    antennas = []
-    for name, (col, direction) in _ANT_SLOTS.items():
-        length = p.h[int(name[1]) - 1]
-        if length > 0:
-            antennas.append(
-                _transported_antenna(back, square, col, direction, length))
-    if p.g > 0:
-        antennas.append(_transported_antenna(back, square, 2, SOUTH, p.g))
+    antennas = [_transported_antenna(back, square, col, direction, length)
+                for _, col, direction, length in antenna_slots(p)]
 
     soma_vertices = tuple(chart(back.apply(square.column(j))) for j in range(3))
     return TriangleReport(

@@ -244,9 +244,10 @@ def _column_normalizer(a: TropMatrix3) -> MonomialMatrix | None:
     rows: a permutation σ with A[σ(j)][j] = max of column j.  Then Q moves
     column j to position σ(j) and shifts it by minus its maximum.
     """
-    maxima = [max(a.rows[i][j].value for i in range(3)) for j in range(3)]
+    v = a.values
+    maxima = [max(r[j] for r in v) for j in range(3)]
     for sigma in permutations(range(3)):
-        if all(a.rows[sigma[j]][j].value == maxima[j] for j in range(3)):
+        if all(v[sigma[j]][j] == maxima[j] for j in range(3)):
             return MonomialMatrix(sigma, tuple(-m for m in maxima))
     return None
 
@@ -433,8 +434,8 @@ def suite_soma_maximality(rng: random.Random, trials: int) -> list[str]:
 
 
 def _chart_cols(m: TropMatrix3):
-    c = chart0(m)
-    return [(c.rows[0][j].value, c.rows[1][j].value) for j in range(3)]
+    xs, ys, _ = chart0(m).values
+    return list(zip(xs, ys))
 
 
 def suite_cardinal_points(rng: random.Random, trials: int) -> list[str]:

@@ -12,7 +12,11 @@ from fractions import Fraction
 import pytest
 
 import fraction_oracle as oracle
-from troplane.errors import InternalInconsistencyError
+from troplane.errors import (
+    InternalInconsistencyError,
+    NonFiniteEntryError,
+    NotIdempotentError,
+)
 from troplane.matrices import TropMatrix3, power
 from troplane.normalform import (
     _idempotent,
@@ -90,3 +94,25 @@ def test_side_lengths_off_the_lattice_are_an_internal_error():
     with pytest.raises(InternalInconsistencyError):
         _idempotent([[0, 0, 0], [-1, 0, 0], [-2, -2, 0]])
     assert _idempotent([[0, 0, 0], [-3, 0, 0], [-6, -6, 0]])[:2] == (1, (0, 0, 3))
+
+
+def test_canonical_idempotent_rejects_bad_input_in_order():
+    # not normal: positive entry, and a -inf that the normality test sees first
+    for rows in ([[0, 1, 0], [-1, 0, 0], [-1, -1, 0]],
+                 [[0, 1, None], [-1, 0, 0], [-1, -1, 0]]):
+        with pytest.raises(NotIdempotentError, match="normal"):
+            canonical_idempotent(TropMatrix3.of(rows))
+    # normal, not idempotent: also with a -inf entry
+    for rows in ([[0, -1, -5], [-1, 0, -1], [-1, -1, 0]],
+                 [[0, -1, None], [-1, 0, -1], [-1, -1, 0]]):
+        b = TropMatrix3.of(rows)
+        assert power(b, 2) != b
+        with pytest.raises(NotIdempotentError, match="not idempotent"):
+            canonical_idempotent(b)
+    # normal and idempotent with a -inf entry
+    for rows in ([[0, None, None], [None, 0, None], [None, None, 0]],
+                 [[0, -1, None], [-1, 0, None], [-1, -1, 0]]):
+        b = TropMatrix3.of(rows)
+        assert power(b, 2) == b
+        with pytest.raises(NonFiniteEntryError):
+            canonical_idempotent(b)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from troplane import scalars
+from troplane import scalars, verify
 from troplane.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -132,17 +132,70 @@ def test_verify_seed_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_rejects_bad_trials(capsys):
-    assert main(["verify", "--trials", "0"]) == EXIT_INPUT_ERROR
-    capsys.readouterr()
-
-
 def _input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == "input"
     return err["reason"]
+
+
+def test_verify_rejects_bad_trials(capsys):
+    assert main(["verify", "--trials", "0"]) == EXIT_INPUT_ERROR
+    assert _input_error(capsys) == "trials must be >= 1"
+    assert main(["verify", "--trials", "abc"]) == EXIT_INPUT_ERROR
+    assert "--trials" in _input_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--bogus"],
+    ["analyze", "--input", "m.json", "--bogus"],
+    [],
+    ["frobnicate"],
+    ["verify", "--seed", "9" * 5000],
+])
+def test_usage_errors_are_json_input_errors(argv, capsys):
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert _input_error(capsys)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--trials" in capsys.readouterr().out
+
+
+def test_troplane_seed_is_read_only_by_verify(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "m.json", TWO_ANTENNA_DOC)
+    monkeypatch.setenv("TROPLANE_SEED", "abc")
+    assert main(["analyze", "--input", path]) == EXIT_OK
+    assert main(["figure", "--input", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--trials", "1"]) == EXIT_INPUT_ERROR
+    assert "TROPLANE_SEED" in _input_error(capsys)
+    # an explicit --seed wins over the variable
+    assert main(["verify", "--seed", "7", "--trials", "1"]) in (0, 1)
+    capsys.readouterr()
+
+
+def test_troplane_seed_matches_explicit_seed(monkeypatch, capsys):
+    main(["verify", "--seed", "7", "--trials", "2"])
+    explicit = capsys.readouterr().out
+    monkeypatch.setenv("TROPLANE_SEED", "7")
+    main(["verify", "--trials", "2"])
+    assert capsys.readouterr().out == explicit
+    seeds = []
+    monkeypatch.setattr(verify, "run_all",
+                        lambda seed, trials: seeds.append(seed) or [])
+    for env in ("7", "", None):
+        if env is None:
+            monkeypatch.delenv("TROPLANE_SEED")
+        else:
+            monkeypatch.setenv("TROPLANE_SEED", env)
+        assert main(["verify", "--trials", "2"]) == EXIT_OK
+    assert main(["verify", "--seed", "3", "--trials", "2"]) == EXIT_OK
+    assert seeds == [7, 0, 0, 3]
 
 
 def test_analyze_directory_input_is_input_error(tmp_path, capsys):

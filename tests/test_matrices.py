@@ -20,10 +20,13 @@ from troplane.matrices import (
     monomial_act,
     mul,
     power,
+    scale,
+    scaled,
     trop_det,
 )
 from troplane.projective import point
 from troplane.randgen import rand_fraction, rand_monomial
+from troplane.scalars import t_add, t_mul
 
 L3924 = TropMatrix3.of([
     [0, -5, -10],
@@ -110,6 +113,45 @@ def test_monomial_act_matches_dense_products():
         assert monomial_act(p, a, q) == mul(mul(p.to_matrix(), a), q.to_matrix())
         assert p.conjugate(a) == mul(mul(p.to_matrix(), a),
                                      p.inverse().to_matrix())
+
+
+def _reference_mul(a, b):
+    """The product written out over the scalar semiring."""
+    return TropMatrix3(tuple(
+        tuple(t_add(t_add(t_mul(a.entry(i, 0), b.entry(0, j)),
+                          t_mul(a.entry(i, 1), b.entry(1, j))),
+                    t_mul(a.entry(i, 2), b.entry(2, j)))
+              for j in range(3))
+        for i in range(3)))
+
+
+def test_mul_with_bottoms_matches_scalar_semiring():
+    rng = random.Random(12)
+    bottoms = 0
+    for _ in range(300):
+        a, b = _rand_matrix_with_bottoms(rng), _rand_matrix_with_bottoms(rng)
+        got = mul(a, b)
+        assert got == _reference_mul(a, b), (a, b)
+        bottoms += sum(x is None for row in got.values for x in row)
+    assert bottoms > 0  # some products keep a -inf entry
+
+
+def test_scaled_grid_divided_by_its_scale_gives_the_values_back():
+    rng = random.Random(13)
+    for k in range(200):
+        big = k % 2 == 0
+        a = TropMatrix3.of([[None if i != j and rng.random() < 1 / 4
+                             else Fraction(rng.randint(-10**12, 10**12) if big
+                                           else rng.randint(-12, 12),
+                                           rng.choice((1, 2, 3, 5, 7, 9, 11)))
+                             for j in range(3)] for i in range(3)])
+        s = scale(a)
+        for mult in (1, 3):
+            grid = scaled(a, mult * s)
+            assert all(x is None or type(x) is int for row in grid for x in row)
+            back = tuple(tuple(None if x is None else Fraction(x, mult * s)
+                               for x in row) for row in grid)
+            assert back == a.values
 
 
 def test_require_finite():
