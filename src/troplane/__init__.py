@@ -53,7 +53,6 @@ from .projective import (
 )
 from .scalars import (
     BOTTOM,
-    DualScalar,
     TropScalar,
     plane_norm,
     trop,

@@ -17,7 +17,7 @@ from .arrangement import enumerate_cells
 from .errors import InvalidMatrixError, ParseError, TroplaneError
 from .matrices import TropMatrix3, is_monomial_pattern
 from .projective import chart
-from .scalars import TropScalar, as_fraction
+from .scalars import MAX_REASON_CHARS, as_fraction, format_value, parse_value
 from .svgfig import DEFAULT_VIEWPORT, Viewport, render_figure
 from .triangle import analyze
 
@@ -48,15 +48,15 @@ def parse_matrix(text: str) -> TropMatrix3:
             if not isinstance(item, str):
                 raise ParseError(f"entry ({i + 1},{j + 1}) must be a string")
             try:
-                parsed.append(TropScalar.parse(item))
+                parsed.append(parse_value(item))
             except ParseError as exc:
                 raise ParseError(f"entry ({i + 1},{j + 1}): {exc}") from exc
-        rows.append(tuple(parsed))
-    return TropMatrix3(tuple(rows))
+        rows.append(parsed)
+    return TropMatrix3.of(rows)
 
 
 def _matrix_json(m: TropMatrix3) -> list[list[str]]:
-    return [[str(e) for e in row] for row in m.rows]
+    return [[format_value(x) for x in row] for row in m.values]
 
 
 def _params_json(p) -> dict:
@@ -218,18 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(doc: dict, exc: Exception) -> None:
+    """One JSON object on stderr; a reason longer than MAX_REASON_CHARS,
+    which may echo an argument, a literal or a path, is cut and marked."""
+    reason = str(exc)
+    if len(reason) > MAX_REASON_CHARS:
+        reason = reason[:MAX_REASON_CHARS] + "... [truncated]"
+    print(json.dumps({**doc, "reason": reason}), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, InvalidMatrixError) as exc:
-        print(json.dumps({"error": "input", "reason": str(exc)}),
-              file=sys.stderr)
+        _print_error({"error": "input"}, exc)
         return EXIT_INPUT_ERROR
     except TroplaneError as exc:
-        print(json.dumps({"error": "precondition",
-                          "type": type(exc).__name__,
-                          "reason": str(exc)}), file=sys.stderr)
+        _print_error({"error": "precondition", "type": type(exc).__name__}, exc)
         return EXIT_PRECONDITION
 
 

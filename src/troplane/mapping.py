@@ -19,10 +19,9 @@ from .arrangement import (
     signature_at,
 )
 from .errors import InternalInconsistencyError, NonFiniteEntryError
-from .matrices import TropMatrix3, grid_mul, is_monomial_pattern, power
-from .normalform import read_params
-from .projective import AffinePoint, ProjPoint, chart, point
-from .scalars import BOTTOM, TropScalar
+from .matrices import TropMatrix3, grid_mul, is_monomial_pattern
+from .normalform import make_L, read_params
+from .projective import AffinePoint, ProjPoint, chart, embed
 
 BIJECTIVE = "bijective-monomial"
 NON_BIJECTIVE = "non-injective-non-surjective"
@@ -34,8 +33,8 @@ PROJECTION = "parallel-projection"
 
 def apply(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
     """Tropical matrix-vector product."""
-    out = grid_mul(a.values, [[c.value] for c in p.coords])
-    return ProjPoint(tuple(BOTTOM if x is None else TropScalar(x) for (x,) in out))
+    out = grid_mul(a.values, [[x] for x in p.values])
+    return ProjPoint(tuple(x for (x,) in out))
 
 
 def project(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
@@ -43,10 +42,10 @@ def project(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
     a.require_finite("project")
     if not p.all_finite():
         raise NonFiniteEntryError("project requires a finite point")
-    v, q = a.values, [c.value for c in p.coords]
+    v, q = a.values, p.values
     # column j scaled by the largest lam_j with a_ij + lam_j <= p_i for all i
     lam = [[min(q[i] - v[i][j] for i in range(3))] for j in range(3)]
-    return ProjPoint(tuple(TropScalar(x) for (x,) in grid_mul(v, lam)))
+    return ProjPoint(tuple(x for (x,) in grid_mul(v, lam)))
 
 
 def is_fixed(a: TropMatrix3, p: ProjPoint) -> bool:
@@ -71,10 +70,6 @@ class CellBehavior:
 class PiecewiseReport:
     matrix: TropMatrix3
     entries: tuple[CellBehavior, ...]
-
-
-def _as_point(p: AffinePoint) -> ProjPoint:
-    return point(p.x, p.y, 0)
 
 
 def _cell_samples(f: TropMatrix3, cell: Cell, want: int = 3):
@@ -125,7 +120,7 @@ def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
     p = read_params(f)
     arr = enumerate_cells(f)
 
-    square = power(f, 2)
+    square = make_L(p.d, p.dv)  # F⊙F, which read_params checked
     antenna_sigs = {}
     for name, col, direction, length in antenna_slots(p):
         ant = Antenna(square.column(col), direction, length)
@@ -139,17 +134,17 @@ def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
         samples = _cell_samples(f, cell)
         if cell.bounded:
             for s in samples:
-                if apply(f, _as_point(s)) != _as_point(s):
+                if apply(f, embed(s)) != embed(s):
                     raise InternalInconsistencyError(
                         "bounded cell sample is not fixed")
             entries.append(CellBehavior(cell, IDENTITY_ON_SOMA, None, (), tuple(samples)))
             continue
-        image0 = chart(apply(f, _as_point(samples[0])))
+        image0 = chart(apply(f, embed(samples[0])))
         if cell.signature in antenna_sigs:
             ant = antenna_sigs[cell.signature]
             b, t = chart(ant.base), chart(ant.tip)
             for s in samples:
-                q = chart(apply(f, _as_point(s)))
+                q = chart(apply(f, embed(s)))
                 if not _on_segment(q, b, t):
                     raise InternalInconsistencyError(
                         "antenna cell sample does not map into the antenna")
@@ -159,8 +154,8 @@ def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
         for u, v in cell.recession_dirs:
             ok = True
             for s in samples:
-                img = apply(f, _as_point(s))
-                moved = apply(f, _as_point(AffinePoint(s.x + u, s.y + v)))
+                img = apply(f, embed(s))
+                moved = apply(f, embed(AffinePoint(s.x + u, s.y + v)))
                 if img != moved:
                     ok = False
                     break
@@ -170,7 +165,7 @@ def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
             raise InternalInconsistencyError(
                 "unbounded cell has no invariant recession direction")
         for s in samples:
-            if not member(apply(f, _as_point(s)), f):
+            if not member(apply(f, embed(s)), f):
                 raise InternalInconsistencyError(
                     "projection image leaves the triangle")
         entries.append(CellBehavior(cell, PROJECTION, image0,

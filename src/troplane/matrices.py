@@ -18,10 +18,8 @@ from .errors import (
     NonFiniteEntryError,
     NotNormalError,
 )
-from .projective import ProjPoint, TropLine
-from .scalars import BOTTOM, RationalLike, TropScalar, as_fraction, t_mul
-
-Entry = RationalLike | None  # None stands for -inf in matrix literals
+from .projective import ProjPoint
+from .scalars import BOTTOM, RationalLike, TropScalar, as_fraction, format_value
 
 
 class TropMatrix3:
@@ -60,22 +58,18 @@ class TropMatrix3:
 
     @staticmethod
     def from_columns(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> "TropMatrix3":
-        cols = (p, q, r)
-        return TropMatrix3(tuple(tuple(cols[j][i] for j in range(3)) for i in range(3)))
+        return TropMatrix3.of(zip(p.values, q.values, r.values))
 
     @property
     def rows(self) -> tuple[tuple[TropScalar, ...], ...]:
         """The entries as TropScalars."""
-        return tuple(tuple(map(_scalar, r)) for r in self.values)
+        return tuple(tuple(map(TropScalar, r)) for r in self.values)
 
     def entry(self, i: int, j: int) -> TropScalar:
-        return _scalar(self.values[i][j])
+        return TropScalar(self.values[i][j])
 
     def column(self, j: int) -> ProjPoint:
-        return ProjPoint(tuple(_scalar(r[j]) for r in self.values))
-
-    def row_line(self, i: int) -> TropLine:
-        return TropLine(ProjPoint(self.rows[i]))
+        return ProjPoint(tuple(r[j] for r in self.values))
 
     def all_finite(self) -> bool:
         return all(x is not None for row in self.values for x in row)
@@ -104,14 +98,10 @@ class TropMatrix3:
 
     def __str__(self) -> str:
         return "[" + "; ".join(
-            " ".join(str(e) for e in row) for row in self.rows) + "]"
+            " ".join(map(format_value, row)) for row in self.values) + "]"
 
     def __repr__(self) -> str:
         return f"TropMatrix3({self})"
-
-
-def _scalar(x: Fraction | None) -> TropScalar:
-    return BOTTOM if x is None else TropScalar(x)
 
 
 IDENTITY = TropMatrix3.of([[0, None, None], [None, 0, None], [None, None, 0]])
@@ -238,11 +228,8 @@ def adjoint_hat(a: TropMatrix3) -> TropMatrix3:
     """Tropical adjoint: row j is the cross product of columns j-1 and j+1 (mod 3)."""
     from .projective import cross
 
-    rows = []
-    for j in range(3):
-        r = cross(a.column((j - 1) % 3), a.column((j + 1) % 3))
-        rows.append(tuple(r[i] for i in range(3)))
-    return TropMatrix3(tuple(rows))
+    return TropMatrix3.of(cross(a.column((j - 1) % 3), a.column((j + 1) % 3)).values
+                          for j in range(3))
 
 
 def breve(a: TropMatrix3) -> TropMatrix3:
@@ -317,8 +304,9 @@ class MonomialMatrix:
         return MonomialMatrix(tuple(perm), tuple(offs))
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(tuple(
-            t_mul(TropScalar(self.offsets[i]), p[self.perm[i]]) for i in range(3)))
+        v = p.values
+        return ProjPoint(tuple(None if v[k] is None else off + v[k]
+                               for k, off in zip(self.perm, self.offsets)))
 
     def conjugate(self, a: TropMatrix3) -> TropMatrix3:
         """self ⊙ a ⊙ self^{-1}."""

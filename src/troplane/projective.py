@@ -1,6 +1,6 @@
 """Points and lines of the tropical projective plane.
 
-Points are triples of tropical scalars up to a finite additive shift; the
+Points are triples over Q with -inf up to a finite additive shift; the
 canonical representative shifts so that the maximum coordinate is 0.  A line
 is stored through its coefficient point; its point set is where the maximum
 of coeff_j + q_j is attained at least twice.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundaryPointError, DegenerateError
-from .scalars import BOTTOM, RationalLike, TropScalar, t_add, t_mul, trop
+from .scalars import RationalLike, TropScalar, as_fraction, format_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,28 +32,31 @@ class AffinePoint:
 class ProjPoint:
     """A point of the tropical projective plane.
 
-    At least one coordinate must be finite.  Equality is projective: two
-    triples are equal when they differ by a finite additive shift.
+    It is stored only as `values`, a triple of Fractions with None for -inf,
+    like the grid of a TropMatrix3.  At least one coordinate must be finite.
+    Equality is projective: two triples are equal when they differ by a
+    finite additive shift.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("values",)
 
-    def __init__(self, coords: tuple[TropScalar, TropScalar, TropScalar]):
-        if all(c.is_bottom for c in coords):
+    def __init__(self, values: tuple[Fraction | None, ...]):
+        values = tuple(values)
+        if all(x is None for x in values):
             raise DegenerateError("projective point needs a finite coordinate")
-        object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "values", values)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("ProjPoint is immutable")
 
     def __getitem__(self, i: int) -> TropScalar:
-        return self.coords[i]
+        """Coordinate i as a TropScalar."""
+        return TropScalar(self.values[i])
 
-    def canonical(self) -> tuple[TropScalar, TropScalar, TropScalar]:
+    def canonical(self) -> tuple[Fraction | None, ...]:
         """Representative with maximum coordinate shifted to 0."""
-        m = max(c.value for c in self.coords if c.value is not None)
-        return tuple(TropScalar(c.value - m) if c.value is not None else BOTTOM
-                     for c in self.coords)
+        m = max(x for x in self.values if x is not None)
+        return tuple(None if x is None else x - m for x in self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):
@@ -64,15 +67,15 @@ class ProjPoint:
         return hash(self.canonical())
 
     def __neg__(self) -> "ProjPoint":
-        if any(c.is_bottom for c in self.coords):
+        if not self.all_finite():
             raise BoundaryPointError("cannot negate a point with a -inf coordinate")
-        return ProjPoint(tuple(TropScalar(-c.value) for c in self.coords))
+        return ProjPoint(tuple(-x for x in self.values))
 
     def all_finite(self) -> bool:
-        return all(not c.is_bottom for c in self.coords)
+        return None not in self.values
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coords) + "]"
+        return "[" + ", ".join(map(format_value, self.values)) + "]"
 
     def __repr__(self) -> str:
         return f"ProjPoint({self})"
@@ -80,7 +83,7 @@ class ProjPoint:
 
 def point(a: RationalLike | None, b: RationalLike | None, c: RationalLike | None) -> ProjPoint:
     """Build a projective point; None stands for -inf."""
-    return ProjPoint(tuple(BOTTOM if v is None else trop(v) for v in (a, b, c)))
+    return ProjPoint(tuple(None if v is None else as_fraction(v) for v in (a, b, c)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,17 +95,22 @@ class TropLine:
 
 def chart(p: ProjPoint) -> AffinePoint:
     """Z=0 chart of a point: (p1 - p3, p2 - p3).  Needs p3 finite."""
-    if p[2].is_bottom:
+    x, y, z = p.values
+    if z is None:
         raise BoundaryPointError("chart undefined: third coordinate is -inf")
-    if p[0].is_bottom or p[1].is_bottom:
+    if x is None or y is None:
         raise BoundaryPointError("chart image would need a -inf coordinate")
-    z = p[2].value
-    return AffinePoint(p[0].value - z, p[1].value - z)
+    return AffinePoint(x - z, y - z)
 
 
 def embed(p: AffinePoint) -> ProjPoint:
     """Inverse of chart: (x, y) -> [x, y, 0]."""
     return point(p.x, p.y, 0)
+
+
+def _plus(x: Fraction | None, y: Fraction | None) -> Fraction | None:
+    """Tropical product x ⊙ y: the sum, -inf when either is."""
+    return None if x is None or y is None else x + y
 
 
 def cross(p: ProjPoint, q: ProjPoint) -> ProjPoint:
@@ -112,27 +120,23 @@ def cross(p: ProjPoint, q: ProjPoint) -> ProjPoint:
     dually, the stable join of the points p and q is the line with these
     coefficients, and -cross(p, q) is its vertex.
     """
-    c1 = t_add(t_mul(p[1], q[2]), t_mul(q[1], p[2]))
-    c2 = t_add(t_mul(p[0], q[2]), t_mul(q[0], p[2]))
-    c3 = t_add(t_mul(p[0], q[1]), t_mul(q[0], p[1]))
-    if c1.is_bottom and c2.is_bottom and c3.is_bottom:
+    out = []
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        s = _plus(p.values[i], q.values[j])
+        t = _plus(q.values[i], p.values[j])
+        out.append(t if s is None else s if t is None else max(s, t))
+    if out == [None, None, None]:
         raise DegenerateError("cross product has no finite coordinate")
-    return ProjPoint((c1, c2, c3))
+    return ProjPoint(tuple(out))
 
 
 def on_line(q: ProjPoint, line: TropLine) -> bool:
-    """True iff the maximum of coeff_j + q_j is attained at least twice."""
-    terms = [t_mul(line.coeffs[j], q[j]) for j in range(3)]
-    m = max(terms)
-    return sum(1 for t in terms if t == m) >= 2
+    """True iff the maximum of coeff_j + q_j is attained at least twice.
 
-
-def line_vertex(line: TropLine) -> ProjPoint:
-    """Vertex of a line with all-finite coefficients: the negated coefficients."""
-    p = line.coeffs
-    if not p.all_finite():
-        raise DegenerateError("line with a -inf coefficient has no vertex")
-    return -p
+    When every term is -inf the maximum -inf is attained three times.
+    """
+    terms = [t for t in map(_plus, line.coeffs.values, q.values) if t is not None]
+    return not terms or terms.count(max(terms)) >= 2
 
 
 @dataclass(frozen=True, slots=True)

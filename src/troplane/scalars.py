@@ -1,8 +1,10 @@
 """Exact max-plus scalar arithmetic and the plane norm.
 
-Scalars are exact rationals extended with a bottom element (-inf).  The dual
-min-plus scalars carry a top element (+inf) instead.  All arithmetic is exact;
-there is no floating-point mode.
+Scalars are exact rationals extended with a bottom element (-inf).  Inside
+the library a scalar is a `Fraction | None`, with None for -inf; `TropScalar`
+wraps one for parsing, printing and the semiring laws.  `parse_value` and
+`format_value` are the one text form of both.  All arithmetic is exact; there
+is no floating-point mode.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ RationalLike = Union[Fraction, int, str]
 # then builds an integer of more than 200 digits.
 MAX_LITERAL_DIGITS = 100
 MAX_EXPONENT = 100
+# Length bound on an echoed error reason; a longer one is cut and marked.
+MAX_REASON_CHARS = 500
 
 
 def _check_literal_size(text: str) -> None:
@@ -51,6 +55,17 @@ def as_fraction(x: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"invalid rational literal {x!r}") from exc
     raise ParseError(f"cannot interpret {x!r} as a rational")
+
+
+def parse_value(text: str) -> Fraction | None:
+    """Parse a scalar literal: "-inf" gives None, anything else a Fraction."""
+    t = text.strip()
+    return None if t == "-inf" else as_fraction(t)
+
+
+def format_value(x: Fraction | None) -> str:
+    """The literal of a scalar: "-inf" for None, else the Fraction's str."""
+    return "-inf" if x is None else str(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,62 +105,23 @@ class TropScalar:
         return TropScalar(-self.value)
 
     def __str__(self) -> str:
-        return "-inf" if self.value is None else str(self.value)
+        return format_value(self.value)
 
     def __repr__(self) -> str:
         return f"TropScalar({self})"
 
     @staticmethod
     def parse(text: str) -> "TropScalar":
-        t = text.strip()
-        if t == "-inf":
-            return BOTTOM
-        return TropScalar(as_fraction(t))
-
-
-@dataclass(frozen=True, slots=True)
-class DualScalar:
-    """A min-plus scalar: an exact rational or top (+inf)."""
-
-    value: Fraction | None  # None encodes +inf
-
-    @property
-    def is_top(self) -> bool:
-        return self.value is None
-
-    def __lt__(self, other: "DualScalar") -> bool:
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
-
-    def __str__(self) -> str:
-        return "+inf" if self.value is None else str(self.value)
-
-    def __repr__(self) -> str:
-        return f"DualScalar({self})"
-
-    @staticmethod
-    def parse(text: str) -> "DualScalar":
-        t = text.strip()
-        if t == "+inf":
-            return TOP
-        return DualScalar(as_fraction(t))
+        return TropScalar(parse_value(text))
 
 
 BOTTOM = TropScalar(None)
 ZERO = TropScalar(Fraction(0))
-TOP = DualScalar(None)
 
 
 def trop(x: RationalLike) -> TropScalar:
     """Build a finite tropical scalar from a rational-like value."""
     return TropScalar(as_fraction(x))
-
-
-def dual(x: RationalLike) -> DualScalar:
-    return DualScalar(as_fraction(x))
 
 
 def t_add(a: TropScalar, b: TropScalar) -> TropScalar:
@@ -162,15 +138,6 @@ def t_mul(a: TropScalar, b: TropScalar) -> TropScalar:
     if a.value is None or b.value is None:
         return BOTTOM
     return TropScalar(a.value + b.value)
-
-
-def t_min(a: DualScalar, b: DualScalar) -> DualScalar:
-    """Dual tropical addition: min.  Top is neutral."""
-    if a.value is None:
-        return b
-    if b.value is None:
-        return a
-    return a if a.value <= b.value else b
 
 
 def plane_norm(p1: RationalLike, p2: RationalLike) -> Fraction:

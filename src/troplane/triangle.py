@@ -13,7 +13,13 @@ from fractions import Fraction
 
 from .errors import InternalInconsistencyError, ParameterRangeError
 from .matrices import MonomialMatrix, TropMatrix3, power
-from .normalform import CanonicalParams, CanonicalResult, canonical_form, normalize
+from .normalform import (
+    CanonicalParams,
+    CanonicalResult,
+    canonical_form,
+    make_L,
+    normalize,
+)
 from .projective import AffinePoint, ProjPoint, chart, point
 from .scalars import RationalLike, as_fraction, plane_norm
 
@@ -123,7 +129,7 @@ def analyze(a: TropMatrix3) -> TriangleReport:
     a.require_finite("analyze")
     result = canonical_form(a)
     p = result.params
-    square = power(result.F, 2)
+    square = make_L(p.d, p.dv)  # F⊙F, which canonical_form checked
     back = result.P.inverse()
     antennas = [_transported_antenna(back, square, col, direction, length)
                 for _, col, direction, length in antenna_slots(p)]

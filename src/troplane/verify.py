@@ -51,6 +51,7 @@ from .randgen import (
 from .scalars import (
     BOTTOM,
     ZERO,
+    format_value,
     plane_norm,
     t_add,
     t_mul,
@@ -61,7 +62,7 @@ from .scalars import (
 
 def _fmt(m: TropMatrix3) -> str:
     return "[" + ", ".join(
-        "[" + ", ".join(str(e) for e in row) + "]" for row in m.rows) + "]"
+        "[" + ", ".join(map(format_value, row)) + "]" for row in m.values) + "]"
 
 
 def _rand_scalar(rng):
@@ -530,7 +531,7 @@ def suite_collinearity(rng: random.Random, trials: int) -> list[str]:
 
 def _point_on(line: TropLine, rng) -> "point":
     """A point of the line: its vertex or a point along one of its rays."""
-    a1, a2, a3 = (line.coeffs[i].value for i in range(3))
+    a1, a2, a3 = line.coeffs.values
     vx, vy = a3 - a1, a3 - a2
     ray = rng.randrange(4)
     t = rand_fraction(rng, 0, 9)

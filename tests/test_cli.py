@@ -13,7 +13,12 @@ from troplane.cli import (
 )
 from troplane.errors import InvalidMatrixError, ParseError
 from troplane.matrices import TropMatrix3
-from troplane.scalars import MAX_EXPONENT, MAX_LITERAL_DIGITS, as_fraction
+from troplane.scalars import (
+    MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
+    MAX_REASON_CHARS,
+    as_fraction,
+)
 
 TWO_ANTENNA_DOC = ('{"entries":[["0","-5","0"],["-7","0","0"],'
                    '["-6","-1","0"]]}')
@@ -157,6 +162,23 @@ def test_verify_rejects_bad_trials(capsys):
 def test_usage_errors_are_json_input_errors(argv, capsys):
     assert main(argv) == EXIT_INPUT_ERROR
     assert _input_error(capsys)
+
+
+@pytest.mark.parametrize("case", ["seed", "literal", "path"])
+def test_echoed_reason_is_bounded(case, tmp_path, capsys):
+    # each input echoes about 3-5 KB of itself into the reason
+    if case == "seed":
+        argv = ["verify", "--seed", "9" * 5000]
+    elif case == "literal":
+        doc = {"entries": [["a" * 3000, "0", "0"], ["0", "0", "0"],
+                           ["0", "0", "0"]]}
+        argv = ["analyze", "--input", _write(tmp_path, "m.json", json.dumps(doc))]
+    else:
+        argv = ["analyze", "--input", str(tmp_path / ("x" * 3000))]
+    assert main(argv) == EXIT_INPUT_ERROR
+    reason = _input_error(capsys)
+    assert reason.endswith("... [truncated]")
+    assert len(reason) == MAX_REASON_CHARS + len("... [truncated]")
 
 
 def test_help_still_exits_zero(capsys):

@@ -6,12 +6,9 @@ from troplane.errors import BottomArithmeticError, ParseError
 from troplane.scalars import (
     BOTTOM,
     ZERO,
-    DualScalar,
     TropScalar,
-    dual,
     plane_norm,
     t_add,
-    t_min,
     t_mul,
     trop,
     trop_distance,
@@ -30,10 +27,6 @@ def test_mul_is_plus():
     assert t_mul(trop(Fraction(1, 3)), trop(Fraction(1, 6))) == trop(Fraction(1, 2))
     assert t_mul(BOTTOM, trop(5)) == BOTTOM
     assert t_mul(trop(7), ZERO) == trop(7)
-
-
-def test_min_on_duals():
-    assert t_min(dual(3), dual(-2)) == dual(-2)
 
 
 def test_negation_swaps_extremes():
@@ -70,8 +63,3 @@ def test_plane_norm_values():
 def test_distance_values():
     assert trop_distance((-2, -2), (0, 0)) == 2
     assert trop_distance((1, 5), (1, 5)) == 0
-
-
-def test_dual_parse():
-    assert DualScalar.parse("+inf").is_top
-    assert DualScalar.parse("-3/2") == dual(Fraction(-3, 2))
