@@ -15,7 +15,7 @@ import sys
 from . import mapping, verify
 from .arrangement import enumerate_cells
 from .errors import InvalidMatrixError, ParseError, TroplaneError
-from .matrices import TropMatrix3, is_monomial_pattern
+from .matrices import TropMatrix3
 from .projective import chart
 from .scalars import MAX_REASON_CHARS, as_fraction, format_value, parse_value
 from .svgfig import DEFAULT_VIEWPORT, Viewport, render_figure
@@ -76,7 +76,7 @@ def _point_json(p) -> dict:
 def _analyze_report(a: TropMatrix3) -> dict:
     classification = mapping.classify(a)
     report: dict = {"classification": classification}
-    if is_monomial_pattern(a):
+    if classification == mapping.BIJECTIVE:
         report["canonical"] = None
         report["skipped_reason"] = "monomial-matrix-is-a-change-of-coordinates"
         return report

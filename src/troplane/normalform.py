@@ -59,9 +59,6 @@ class CanonicalParams:
     h: Triple
     g: Fraction
 
-    def as_tuple(self):
-        return (self.d, self.dv, self.h, self.g)
-
 
 def params(d: RationalLike, dv, h=(0, 0, 0), g: RationalLike = 0) -> CanonicalParams:
     return CanonicalParams(as_fraction(d),

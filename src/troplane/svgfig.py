@@ -12,17 +12,10 @@ from fractions import Fraction
 
 from .arrangement import enumerate_cells
 from .matrices import TropMatrix3, chart0, power
-from .projective import AffinePoint, chart
-from .triangle import analyze
+from .projective import AffinePoint, chart, embed
+from .triangle import DIRECTIONS, analyze, hrep_idempotent
 
 _QUANTUM = Decimal("0.000001")
-
-# unbounded tripod/cell directions used for viewport clipping
-_RAY_DIRS = {
-    "W": (Fraction(-1), Fraction(0)),
-    "S": (Fraction(0), Fraction(-1)),
-    "NE": (Fraction(1), Fraction(1)),
-}
 
 
 def fmt(v: Fraction) -> str:
@@ -85,7 +78,7 @@ def _ray_end(start: AffinePoint, direction, vp: Viewport) -> AffinePoint | None:
 
 def _tripod_path(vertex: AffinePoint, vp: Viewport) -> str:
     parts = []
-    for direction in _RAY_DIRS.values():
+    for direction in DIRECTIONS.values():
         end = _ray_end(vertex, direction, vp)
         if end is not None and vp.contains(vertex):
             parts.append(f"M {_svg_xy(vertex)} L {_svg_xy(end)}")
@@ -164,9 +157,6 @@ def _skeleton_paths(a: TropMatrix3, vp: Viewport) -> list[str]:
 
 def render_figure(a: TropMatrix3, viewport: Viewport = DEFAULT_VIEWPORT) -> str:
     """SVG document for the triangle, soma, antennas, tripods and skeleton."""
-    from .projective import point
-    from .triangle import hrep_idempotent
-
     a.require_finite("render_figure")
     vp = viewport
     report = analyze(a)
@@ -174,7 +164,7 @@ def render_figure(a: TropMatrix3, viewport: Viewport = DEFAULT_VIEWPORT) -> str:
     p_inv = result.P.inverse()
 
     def transport(q: AffinePoint) -> AffinePoint:
-        return chart(p_inv.apply(point(q.x, q.y, 0)))
+        return chart(p_inv.apply(embed(q)))
 
     hrep = hrep_idempotent(result.params.d, result.params.dv)
     soma = [transport(v) for v in _soma_polygon(hrep)]

@@ -26,6 +26,9 @@ from .scalars import RationalLike, as_fraction, plane_norm
 WEST = "W"
 SOUTH = "S"
 NORTH_EAST = "NE"
+# unit chart vector of each antenna and tripod-ray direction; svgfig draws
+# tripod rays in this order, so reordering it changes the figures
+DIRECTIONS = {WEST: (-1, 0), SOUTH: (0, -1), NORTH_EAST: (1, 1)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,15 +41,9 @@ class Antenna:
 
     @property
     def tip(self) -> ProjPoint:
-        dx = dy = Fraction(0)
-        if self.direction == WEST:
-            dx = -self.length
-        elif self.direction == SOUTH:
-            dy = -self.length
-        else:
-            dx = dy = self.length
+        ux, uy = DIRECTIONS[self.direction]
         b = chart(self.base)
-        return point(b.x + dx, b.y + dy, 0)
+        return point(b.x + self.length * ux, b.y + self.length * uy, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,12 +97,10 @@ def antenna_slots(p: CanonicalParams):
 
 
 def _classify_direction(dx: Fraction, dy: Fraction) -> str:
-    if dy == 0 and dx < 0:
-        return WEST
-    if dx == 0 and dy < 0:
-        return SOUTH
-    if dx == dy and dx > 0:
-        return NORTH_EAST
+    n = plane_norm(dx, dy)
+    for direction, (ux, uy) in DIRECTIONS.items():
+        if n > 0 and (dx, dy) == (n * ux, n * uy):
+            return direction
     raise InternalInconsistencyError(f"unrecognized antenna direction ({dx}, {dy})")
 
 

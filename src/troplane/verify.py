@@ -2,13 +2,16 @@
 
 Each suite runs `trials` randomized checks and returns a list of failure
 descriptions (empty means the suite passed).  The CLI `verify` subcommand and
-the acceptance tests both drive these functions.
+the acceptance tests both drive these functions.  Most suites are written as
+one-trial checks and turned into suites by `_per_trial`.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
+from functools import wraps
 from itertools import permutations
 
 from . import mapping, triangle
@@ -71,171 +74,162 @@ def _rand_scalar(rng):
     return trop(rand_fraction(rng))
 
 
-def suite_semiring_laws(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        a, b, c = (_rand_scalar(rng) for _ in range(3))
-        checks = [
-            t_add(a, b) == t_add(b, a),
-            t_add(t_add(a, b), c) == t_add(a, t_add(b, c)),
-            t_mul(t_mul(a, b), c) == t_mul(a, t_mul(b, c)),
-            t_mul(a, t_add(b, c)) == t_add(t_mul(a, b), t_mul(a, c)),
-            t_add(a, BOTTOM) == a,
-            t_mul(a, BOTTOM) == BOTTOM,
-            t_mul(a, ZERO) == a,
-            t_add(a, a) == a,
-        ]
-        if not all(checks):
-            fails.append(f"semiring law failed on {a}, {b}, {c}")
-    return fails
+def _per_trial(check: Callable[[random.Random], str | None]
+               ) -> Callable[[random.Random, int], list[str]]:
+    """Turn a one-trial check into a suite.
+
+    `check(rng)` draws one trial's inputs and returns a failure message, or
+    None (usually by falling off its end) when the trial passes or is
+    skipped.  The suite calls it `trials` times on the same rng and keeps the
+    messages in trial order, so a trial records at most one failure.
+    """
+    @wraps(check)
+    def suite(rng: random.Random, trials: int) -> list[str]:
+        return [msg for msg in (check(rng) for _ in range(trials))
+                if msg is not None]
+    return suite
 
 
-def suite_norm_axioms(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        p = (rand_fraction(rng), rand_fraction(rng))
-        q = (rand_fraction(rng), rand_fraction(rng))
-        r = (rand_fraction(rng), rand_fraction(rng))
-        n = plane_norm(*p)
-        ok = (n >= 0 and (n == 0) == (p == (0, 0))
-              and plane_norm(-p[0], -p[1]) == n
-              and trop_distance(p, q) <= trop_distance(p, r) + trop_distance(r, q)
-              and trop_distance(p, q) == trop_distance(q, p))
-        if not ok:
-            fails.append(f"norm axiom failed at {p}, {q}, {r}")
-    return fails
+@_per_trial
+def suite_semiring_laws(rng: random.Random) -> str | None:
+    a, b, c = (_rand_scalar(rng) for _ in range(3))
+    checks = [
+        t_add(a, b) == t_add(b, a),
+        t_add(t_add(a, b), c) == t_add(a, t_add(b, c)),
+        t_mul(t_mul(a, b), c) == t_mul(a, t_mul(b, c)),
+        t_mul(a, t_add(b, c)) == t_add(t_mul(a, b), t_mul(a, c)),
+        t_add(a, BOTTOM) == a,
+        t_mul(a, BOTTOM) == BOTTOM,
+        t_mul(a, ZERO) == a,
+        t_add(a, a) == a,
+    ]
+    if not all(checks):
+        return f"semiring law failed on {a}, {b}, {c}"
 
 
-def suite_cramer_line(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        p, q = rand_point(rng), rand_point(rng)
-        if p == q:
-            continue
-        line = TropLine(cross(p, q))
-        if not (on_line(p, line) and on_line(q, line)):
-            fails.append(f"cross({p}, {q}) does not pass through both points")
-    return fails
+@_per_trial
+def suite_norm_axioms(rng: random.Random) -> str | None:
+    p = (rand_fraction(rng), rand_fraction(rng))
+    q = (rand_fraction(rng), rand_fraction(rng))
+    r = (rand_fraction(rng), rand_fraction(rng))
+    n = plane_norm(*p)
+    ok = (n >= 0 and (n == 0) == (p == (0, 0))
+          and plane_norm(-p[0], -p[1]) == n
+          and trop_distance(p, q) <= trop_distance(p, r) + trop_distance(r, q)
+          and trop_distance(p, q) == trop_distance(q, p))
+    if not ok:
+        return f"norm axiom failed at {p}, {q}, {r}"
 
 
-def suite_power_chain(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        a = rand_normal(rng)
-        sq = power(a, 2)
-        hat = adjoint_hat(a)
-        ok = (sq == power(a, 3)
-              and hat == a.entrywise_max(breve(a))
-              and hat == sq
-              and kleene_star(a) == sq
-              and is_normal(hat))
-        if not ok:
-            fails.append(f"power/adjoint chain failed on {_fmt(a)}")
-    return fails
+@_per_trial
+def suite_cramer_line(rng: random.Random) -> str | None:
+    p, q = rand_point(rng), rand_point(rng)
+    if p == q:
+        return None
+    line = TropLine(cross(p, q))
+    if not (on_line(p, line) and on_line(q, line)):
+        return f"cross({p}, {q}) does not pass through both points"
 
 
-def suite_goodness_equivalence(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        a = rand_normal(rng)
-        good = triangle.is_good(a)
-        idem = power(a, 2) == a
-        dominates = breve(a).entrywise_le(a)
-        if not (good == idem == dominates):
-            fails.append(f"goodness equivalence failed on {_fmt(a)}")
-    return fails
+@_per_trial
+def suite_power_chain(rng: random.Random) -> str | None:
+    a = rand_normal(rng)
+    sq = power(a, 2)
+    hat = adjoint_hat(a)
+    ok = (sq == power(a, 3)
+          and hat == a.entrywise_max(breve(a))
+          and hat == sq
+          and kleene_star(a) == sq
+          and is_normal(hat))
+    if not ok:
+        return f"power/adjoint chain failed on {_fmt(a)}"
 
 
-def suite_monomial_closure(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        m1, m2 = rand_monomial(rng), rand_monomial(rng)
-        prod = m1 @ m2
-        ok = (prod.to_matrix() == mul(m1.to_matrix(), m2.to_matrix())
-              and mul(m1.to_matrix(), m1.inverse().to_matrix()) == IDENTITY)
-        p = rand_point(rng)
-        ok = ok and m1.apply(p) == mapping.apply(m1.to_matrix(), p)
-        if not ok:
-            fails.append(f"monomial algebra failed on {m1}, {m2}")
-    return fails
+@_per_trial
+def suite_goodness_equivalence(rng: random.Random) -> str | None:
+    a = rand_normal(rng)
+    good = triangle.is_good(a)
+    idem = power(a, 2) == a
+    dominates = breve(a).entrywise_le(a)
+    if not (good == idem == dominates):
+        return f"goodness equivalence failed on {_fmt(a)}"
 
 
-def suite_det_monomial(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        a = rand_matrix(rng)
-        m = rand_monomial(rng)
-        left = trop_det(mul(m.to_matrix(), a))
-        base = trop_det(a)
-        shift = sum(m.offsets)
-        ok = (left.value.value == base.value.value + shift
-              and left.regular == base.regular)
-        if not ok:
-            fails.append(f"determinant monomial law failed on {_fmt(a)}")
-    return fails
+@_per_trial
+def suite_monomial_closure(rng: random.Random) -> str | None:
+    m1, m2 = rand_monomial(rng), rand_monomial(rng)
+    prod = m1 @ m2
+    ok = (prod.to_matrix() == mul(m1.to_matrix(), m2.to_matrix())
+          and mul(m1.to_matrix(), m1.inverse().to_matrix()) == IDENTITY)
+    p = rand_point(rng)
+    ok = ok and m1.apply(p) == mapping.apply(m1.to_matrix(), p)
+    if not ok:
+        return f"monomial algebra failed on {m1}, {m2}"
 
 
-def suite_sqrt_law(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        p = rand_params(rng)
-        if power(make_F(p), 2) != make_L(p.d, p.dv):
-            fails.append(f"square of canonical form is not the model: {p}")
-    return fails
+@_per_trial
+def suite_det_monomial(rng: random.Random) -> str | None:
+    a = rand_matrix(rng)
+    m = rand_monomial(rng)
+    left = trop_det(mul(m.to_matrix(), a))
+    base = trop_det(a)
+    shift = sum(m.offsets)
+    ok = (left.value.value == base.value.value + shift
+          and left.regular == base.regular)
+    if not ok:
+        return f"determinant monomial law failed on {_fmt(a)}"
 
 
-def suite_sqrt_negative_control(rng: random.Random, trials: int) -> list[str]:
+@_per_trial
+def suite_sqrt_law(rng: random.Random) -> str | None:
+    p = rand_params(rng)
+    if power(make_F(p), 2) != make_L(p.d, p.dv):
+        return f"square of canonical form is not the model: {p}"
+
+
+@_per_trial
+def suite_sqrt_negative_control(rng: random.Random) -> str | None:
     """g > 0 together with h1 > 0 must break the square-root law."""
-    fails = []
-    for _ in range(trials):
-        dv = (Fraction(0), rand_fraction(rng, 0, 9), rand_fraction(rng, 0, 9))
-        h = (rand_positive(rng), Fraction(0), Fraction(0))
-        g = rand_positive(rng)
-        bad = _f_entries(Fraction(0), dv, h, g)
-        if power(bad, 2) == make_L(0, dv):
-            fails.append(f"forbidden combination satisfied the law: h1={h[0]}, g={g}")
-    return fails
+    dv = (Fraction(0), rand_fraction(rng, 0, 9), rand_fraction(rng, 0, 9))
+    h = (rand_positive(rng), Fraction(0), Fraction(0))
+    g = rand_positive(rng)
+    bad = _f_entries(Fraction(0), dv, h, g)
+    if power(bad, 2) == make_L(0, dv):
+        return f"forbidden combination satisfied the law: h1={h[0]}, g={g}"
 
 
-def suite_canonical_invariance(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        a = rand_matrix(rng)
-        base = canonical_form(a).params
-        p, q = rand_monomial(rng), rand_monomial(rng)
-        b = mul(mul(p.to_matrix(), a), q.to_matrix())
-        got = canonical_form(b).params
-        if got != base:
-            fails.append(f"params changed under monomial transform: {_fmt(a)}")
-    return fails
+@_per_trial
+def suite_canonical_invariance(rng: random.Random) -> str | None:
+    a = rand_matrix(rng)
+    base = canonical_form(a).params
+    p, q = rand_monomial(rng), rand_monomial(rng)
+    b = mul(mul(p.to_matrix(), a), q.to_matrix())
+    got = canonical_form(b).params
+    if got != base:
+        return f"params changed under monomial transform: {_fmt(a)}"
 
 
-def suite_normalization_validity(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        a = rand_matrix(rng) if rng.random() < 0.5 else rand_normal(rng)
-        n = normalize(a)
-        ok = (is_normal(n.N)
-              and n.N == mul(mul(n.P.to_matrix(), a), n.Q.to_matrix()))
-        if not ok:
-            fails.append(f"normalization invalid for {_fmt(a)}")
-    return fails
+@_per_trial
+def suite_normalization_validity(rng: random.Random) -> str | None:
+    a = rand_matrix(rng) if rng.random() < 0.5 else rand_normal(rng)
+    n = normalize(a)
+    ok = (is_normal(n.N)
+          and n.N == mul(mul(n.P.to_matrix(), a), n.Q.to_matrix()))
+    if not ok:
+        return f"normalization invalid for {_fmt(a)}"
 
 
-def suite_normalizations_agree(rng: random.Random, trials: int) -> list[str]:
+@_per_trial
+def suite_normalizations_agree(rng: random.Random) -> str | None:
     """Canonical params are independent of which normalization seeds them."""
-    fails = []
-    for _ in range(trials):
-        a = rand_matrix(rng)
-        base = canonical_form(a).params
-        pairs = list(_admissible_pairs(a))
-        picks = [pairs[0], pairs[len(pairs) // 2], pairs[-1]]
-        for pi, tau in picks:
-            n = _normalization_for(a, pi, tau)
-            if canonical_form(n.N).params != base:
-                fails.append(f"normalization {pi},{tau} disagrees for {_fmt(a)}")
-                break
-    return fails
+    a = rand_matrix(rng)
+    base = canonical_form(a).params
+    pairs = list(_admissible_pairs(a))
+    picks = [pairs[0], pairs[len(pairs) // 2], pairs[-1]]
+    for pi, tau in picks:
+        n = _normalization_for(a, pi, tau)
+        if canonical_form(n.N).params != base:
+            return f"normalization {pi},{tau} disagrees for {_fmt(a)}"
 
 
 def _column_normalizer(a: TropMatrix3) -> MonomialMatrix | None:
@@ -281,6 +275,8 @@ def suite_origin_vs_normality(rng: random.Random, trials: int) -> list[str]:
     column maxima of A are attained on pairwise distinct rows, i.e. iff
     A ⊙ Q is normal for some monomial Q.  Rows attaining the maxima that
     merely cover all rows put the origin in the span, not in the soma.
+
+    A whole-run suite, not a `_per_trial` check: trial i's draw depends on i.
     """
     fails = []
     for i in range(trials):
@@ -298,80 +294,66 @@ def suite_origin_vs_normality(rng: random.Random, trials: int) -> list[str]:
     return fails
 
 
-def suite_idempotency_criterion(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        d = rand_positive(rng, 6)
-        dv = [rand_fraction(rng, 0, 6) for _ in range(3)]
-        l_good = make_L(d, dv)
-        if power(l_good, 2) != l_good:
-            fails.append(f"L({d},{dv}) with d_j >= 0 not idempotent")
-            continue
-        j = rng.randrange(3)
-        dv[j] = -Fraction(rng.randint(1, int(d * 6) or 1), 6)
-        if dv[j] < -d:
-            dv[j] = -d
-        l_bad = make_L(d, dv)
-        if not is_normal(l_bad) or power(l_bad, 2) == l_bad:
-            fails.append(f"L({d},{dv}) with d_{j+1} < 0 unexpectedly idempotent")
-    return fails
+@_per_trial
+def suite_idempotency_criterion(rng: random.Random) -> str | None:
+    d = rand_positive(rng, 6)
+    dv = [rand_fraction(rng, 0, 6) for _ in range(3)]
+    l_good = make_L(d, dv)
+    if power(l_good, 2) != l_good:
+        return f"L({d},{dv}) with d_j >= 0 not idempotent"
+    j = rng.randrange(3)
+    dv[j] = -Fraction(rng.randint(1, int(d * 6) or 1), 6)
+    if dv[j] < -d:
+        dv[j] = -d
+    l_bad = make_L(d, dv)
+    if not is_normal(l_bad) or power(l_bad, 2) == l_bad:
+        return f"L({d},{dv}) with d_{j+1} < 0 unexpectedly idempotent"
 
 
-def suite_census(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        m = rand_generic_matrix(rng)
-        arr = enumerate_cells(m)
-        c0, c1, c2 = arr.counts()
-        if (len(arr.cells), c2, c1, c0) != (31, 10, 15, 6) or c0 - c1 + c2 != 1:
-            fails.append(f"census {c0}/{c1}/{c2} for {_fmt(m)}")
-            continue
-        p = AffinePoint(rand_fraction(rng, -30, 30), rand_fraction(rng, -30, 30))
-        if arr.find(signature_at(m, p)) is None:
-            fails.append(f"point {p} not located in any cell of {_fmt(m)}")
-    return fails
+@_per_trial
+def suite_census(rng: random.Random) -> str | None:
+    m = rand_generic_matrix(rng)
+    arr = enumerate_cells(m)
+    c0, c1, c2 = arr.counts()
+    if (len(arr.cells), c2, c1, c0) != (31, 10, 15, 6) or c0 - c1 + c2 != 1:
+        return f"census {c0}/{c1}/{c2} for {_fmt(m)}"
+    p = AffinePoint(rand_fraction(rng, -30, 30), rand_fraction(rng, -30, 30))
+    if arr.find(signature_at(m, p)) is None:
+        return f"point {p} not located in any cell of {_fmt(m)}"
 
 
-def suite_bounded_soma(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        p = rand_params(rng)
-        f = make_F(p)
-        cell, _ = bounded_complex(f)
-        if (cell is not None) != (triangle.soma_dimension(p) == 2):
-            fails.append(f"bounded 2-cell vs soma dimension mismatch: {p}")
-    return fails
+@_per_trial
+def suite_bounded_soma(rng: random.Random) -> str | None:
+    p = rand_params(rng)
+    f = make_F(p)
+    cell, _ = bounded_complex(f)
+    if (cell is not None) != (triangle.soma_dimension(p) == 2):
+        return f"bounded 2-cell vs soma dimension mismatch: {p}"
 
 
-def suite_piecewise_behavior(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        f = make_F(rand_params(rng))
-        try:
-            mapping.piecewise_report(f)
-        except TroplaneError as ex:
-            fails.append(f"piecewise contract failed on {_fmt(f)}: {ex}")
-    return fails
+@_per_trial
+def suite_piecewise_behavior(rng: random.Random) -> str | None:
+    f = make_F(rand_params(rng))
+    try:
+        mapping.piecewise_report(f)
+    except TroplaneError as ex:
+        return f"piecewise contract failed on {_fmt(f)}: {ex}"
 
 
-def suite_fixed_set(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        p = rand_params(rng)
-        f = make_F(p)
-        h = triangle.hrep_idempotent(p.d, p.dv)
-        s = _hrep_sample(rng, h)
-        if mapping.apply(f, point(s.x, s.y, 0)) != point(s.x, s.y, 0):
-            fails.append(f"soma sample {s} not fixed for {p}")
-            continue
-        rep = triangle.analyze(f)
-        for ant in rep.antennas:
-            b, t = chart(ant.base), chart(ant.tip)
-            mid = point(Fraction(b.x + t.x, 2), Fraction(b.y + t.y, 2), 0)
-            if mapping.is_fixed(f, mid):
-                fails.append(f"antenna midpoint unexpectedly fixed for {p}")
-                break
-    return fails
+@_per_trial
+def suite_fixed_set(rng: random.Random) -> str | None:
+    p = rand_params(rng)
+    f = make_F(p)
+    h = triangle.hrep_idempotent(p.d, p.dv)
+    s = _hrep_sample(rng, h)
+    if mapping.apply(f, point(s.x, s.y, 0)) != point(s.x, s.y, 0):
+        return f"soma sample {s} not fixed for {p}"
+    rep = triangle.analyze(f)
+    for ant in rep.antennas:
+        b, t = chart(ant.base), chart(ant.tip)
+        mid = point(Fraction(b.x + t.x, 2), Fraction(b.y + t.y, 2), 0)
+        if mapping.is_fixed(f, mid):
+            return f"antenna midpoint unexpectedly fixed for {p}"
 
 
 def _hrep_sample(rng, h) -> AffinePoint:
@@ -388,6 +370,7 @@ def _hrep_sample(rng, h) -> AffinePoint:
 
 
 def suite_convexity(rng: random.Random, trials: int) -> list[str]:
+    """A whole-run suite: non-convexity witnesses are pooled across trials."""
     fails = []
     witnessed = set()
     seen_dirs = set()
@@ -414,24 +397,20 @@ def suite_convexity(rng: random.Random, trials: int) -> list[str]:
     return fails
 
 
-def suite_soma_maximality(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        p = rand_params(rng)
-        f = make_F(p)
-        sq = power(f, 2)
-        rep = triangle.analyze(f)
-        h = triangle.hrep_idempotent(p.d, p.dv)
-        s = _hrep_sample(rng, h)
-        sp = point(s.x, s.y, 0)
-        if not (triangle.member(sp, f) and triangle.member(sp, sq)):
-            fails.append(f"soma sample outside triangle or soma for {p}")
-            continue
-        for ant in rep.antennas:
-            if not triangle.member(ant.tip, f) or triangle.member(ant.tip, sq):
-                fails.append(f"antenna tip membership wrong for {p}")
-                break
-    return fails
+@_per_trial
+def suite_soma_maximality(rng: random.Random) -> str | None:
+    p = rand_params(rng)
+    f = make_F(p)
+    sq = power(f, 2)
+    rep = triangle.analyze(f)
+    h = triangle.hrep_idempotent(p.d, p.dv)
+    s = _hrep_sample(rng, h)
+    sp = point(s.x, s.y, 0)
+    if not (triangle.member(sp, f) and triangle.member(sp, sq)):
+        return f"soma sample outside triangle or soma for {p}"
+    for ant in rep.antennas:
+        if not triangle.member(ant.tip, f) or triangle.member(ant.tip, sq):
+            return f"antenna tip membership wrong for {p}"
 
 
 def _chart_cols(m: TropMatrix3):
@@ -439,94 +418,80 @@ def _chart_cols(m: TropMatrix3):
     return list(zip(xs, ys))
 
 
-def suite_cardinal_points(rng: random.Random, trials: int) -> list[str]:
+@_per_trial
+def suite_cardinal_points(rng: random.Random) -> str | None:
     """Chart columns of a normal matrix land in the east/north/south-west
     corners of the plane split by the zero tropical line; for idempotents the
     columns are additionally mutually ordered that way."""
-    fails = []
-    for _ in range(trials):
-        a = rand_normal(rng)
-        cols = _chart_cols(a)
-        corner_ok = (cols[0][0] >= 0 and cols[0][1] <= cols[0][0]
-                     and cols[1][1] >= 0 and cols[1][0] <= cols[1][1]
-                     and cols[2][0] <= 0 and cols[2][1] <= 0)
-        if not corner_ok:
-            fails.append(f"corner membership failed for {_fmt(a)}")
-            continue
-        cols = _chart_cols(power(a, 2))
-        ok = (cols[0][0] >= max(cols[1][0], cols[2][0])
-              and cols[1][1] >= max(cols[0][1], cols[2][1])
-              and cols[2][0] <= min(cols[0][0], cols[1][0])
-              and cols[2][1] <= min(cols[0][1], cols[1][1]))
-        if not ok:
-            fails.append(f"cardinal ordering failed for square of {_fmt(a)}")
-    return fails
+    a = rand_normal(rng)
+    cols = _chart_cols(a)
+    corner_ok = (cols[0][0] >= 0 and cols[0][1] <= cols[0][0]
+                 and cols[1][1] >= 0 and cols[1][0] <= cols[1][1]
+                 and cols[2][0] <= 0 and cols[2][1] <= 0)
+    if not corner_ok:
+        return f"corner membership failed for {_fmt(a)}"
+    cols = _chart_cols(power(a, 2))
+    ok = (cols[0][0] >= max(cols[1][0], cols[2][0])
+          and cols[1][1] >= max(cols[0][1], cols[2][1])
+          and cols[2][0] <= min(cols[0][0], cols[1][0])
+          and cols[2][1] <= min(cols[0][1], cols[1][1]))
+    if not ok:
+        return f"cardinal ordering failed for square of {_fmt(a)}"
 
 
-def suite_map_algebra(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        a = rand_matrix(rng)
-        p = rand_point(rng)
-        ok = (mapping.apply(a, mapping.apply(a, p))
-              == mapping.apply(power(a, 2), p)
-              and triangle.member(mapping.apply(a, p), a))
-        if not ok:
-            fails.append(f"map algebra failed on {_fmt(a)} at {p}")
-    return fails
+@_per_trial
+def suite_map_algebra(rng: random.Random) -> str | None:
+    a = rand_matrix(rng)
+    p = rand_point(rng)
+    ok = (mapping.apply(a, mapping.apply(a, p))
+          == mapping.apply(power(a, 2), p)
+          and triangle.member(mapping.apply(a, p), a))
+    if not ok:
+        return f"map algebra failed on {_fmt(a)} at {p}"
 
 
-def suite_projector(rng: random.Random, trials: int) -> list[str]:
-    fails = []
+@_per_trial
+def suite_projector(rng: random.Random) -> str | None:
     spans = 100
-    for _ in range(trials):
-        a = rand_matrix(rng)
-        p = rand_point(rng)
-        rho = mapping.project(a, p)
-        if mapping.project(a, rho) != rho:
-            fails.append(f"projector not idempotent on {_fmt(a)}")
-            continue
-        pc, rc = chart(p), chart(rho)
-        dist = trop_distance((pc.x, pc.y), (rc.x, rc.y))
-        for _ in range(spans):
-            v = mapping.apply(a, rand_point(rng))
-            vc = chart(v)
-            if trop_distance((pc.x, pc.y), (vc.x, vc.y)) < dist:
-                fails.append(f"projector not minimal on {_fmt(a)} at {p}")
-                break
-    return fails
+    a = rand_matrix(rng)
+    p = rand_point(rng)
+    rho = mapping.project(a, p)
+    if mapping.project(a, rho) != rho:
+        return f"projector not idempotent on {_fmt(a)}"
+    pc, rc = chart(p), chart(rho)
+    dist = trop_distance((pc.x, pc.y), (rc.x, rc.y))
+    for _ in range(spans):
+        v = mapping.apply(a, rand_point(rng))
+        vc = chart(v)
+        if trop_distance((pc.x, pc.y), (vc.x, vc.y)) < dist:
+            return f"projector not minimal on {_fmt(a)} at {p}"
 
 
-def suite_hrep_oracle(rng: random.Random, trials: int) -> list[str]:
+@_per_trial
+def suite_hrep_oracle(rng: random.Random) -> str | None:
     """Membership via half-planes agrees with membership via the projector."""
-    fails = []
-    for _ in range(trials):
-        d = rand_fraction(rng, 0, 5)
-        dv = tuple(rand_fraction(rng, 0, 5) for _ in range(3))
-        l = make_L(d, dv)
-        h = triangle.hrep_idempotent(d, dv)
-        s = AffinePoint(rand_fraction(rng, -16, 16), rand_fraction(rng, -16, 16))
-        if h.contains(s) != triangle.member(point(s.x, s.y, 0), l):
-            fails.append(f"membership oracles disagree at {s} for L({d},{dv})")
-    return fails
+    d = rand_fraction(rng, 0, 5)
+    dv = tuple(rand_fraction(rng, 0, 5) for _ in range(3))
+    l = make_L(d, dv)
+    h = triangle.hrep_idempotent(d, dv)
+    s = AffinePoint(rand_fraction(rng, -16, 16), rand_fraction(rng, -16, 16))
+    if h.contains(s) != triangle.member(point(s.x, s.y, 0), l):
+        return f"membership oracles disagree at {s} for L({d},{dv})"
 
 
-def suite_collinearity(rng: random.Random, trials: int) -> list[str]:
-    fails = []
-    for _ in range(trials):
-        p, q = rand_point(rng), rand_point(rng)
-        if p == q:
-            continue
-        line = TropLine(cross(p, q))
-        r = _point_on(line, rng)
-        if not collinear(p, q, r):
-            fails.append(f"constructed triple not collinear: {p}, {q}, {r}")
-            continue
-        a = rand_matrix(rng)
-        imgs = [mapping.apply(a, s) for s in (p, q, r)]
-        if not collinear(*imgs):
-            fails.append(f"collinearity lost under {_fmt(a)}")
-    return fails
+@_per_trial
+def suite_collinearity(rng: random.Random) -> str | None:
+    p, q = rand_point(rng), rand_point(rng)
+    if p == q:
+        return None
+    line = TropLine(cross(p, q))
+    r = _point_on(line, rng)
+    if not collinear(p, q, r):
+        return f"constructed triple not collinear: {p}, {q}, {r}"
+    a = rand_matrix(rng)
+    imgs = [mapping.apply(a, s) for s in (p, q, r)]
+    if not collinear(*imgs):
+        return f"collinearity lost under {_fmt(a)}"
 
 
 def _point_on(line: TropLine, rng) -> "point":
@@ -545,6 +510,7 @@ def _point_on(line: TropLine, rng) -> "point":
 
 
 def suite_apply_vs_project(rng: random.Random, trials: int) -> list[str]:
+    """One fixed input, checked once whatever `trials` is."""
     l = make_L(3, (9, 2, 4))
     p = point(-12, 0, 0)
     if mapping.apply(l, p) == mapping.project(l, p):
