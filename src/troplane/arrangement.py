@@ -1,17 +1,21 @@
 """Cell decomposition of the chart plane induced by the three row lines.
 
 Each row of a valid matrix defines a tropical linear form max(a1+x, a2+y, a3);
-recording the argmax index set of every row yields a signature, and the 343
-candidate signatures are tested for feasibility exactly.  The feasible systems
-only involve bounds on x, y and x-y, so a three-node difference-bound matrix
-with strictness flags decides feasibility, dimension and boundedness.
+recording the argmax index set of every row yields a signature (the type of
+a point).  Every cell has a vertex of the classical line arrangement in its
+closure: the lines where two terms of a row tie (x = c, y = c, x - y = c),
+plus four box lines that make the arrangement pointed even when rows have
+-inf entries.  So the signatures are read exactly at those vertices and just
+off them, in the 6 ray and 6 sector directions of the lines, and only these
+are built.  The feasible systems only involve bounds on x, y and x-y, so a
+three-node difference-bound matrix with strictness flags decides
+feasibility, dimension and boundedness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import InternalInconsistencyError, NoSuchAntennaError, NotNormalError
 from .matrices import TropMatrix3, is_normal, scale, scaled
@@ -64,15 +68,26 @@ class Arrangement:
         return None
 
 
+# A row's argmax set as a bit mask: bit j-1 stands for term j.
+_MASKS = (1, 2, 4, 3, 5, 6, 7)  # _SUBSETS, in the same order
+_SUBSET_OF = dict(zip(_MASKS, _SUBSETS))
+_RANK = {m: i for i, m in enumerate(_MASKS)}
+
+
+def _tie_masks(grid, x, y) -> tuple[int, int, int]:
+    """Per row of grid, the mask of the terms attaining the maximum at (x, y)."""
+    out = []
+    for a1, a2, a3 in grid:
+        v1 = None if a1 is None else x + a1
+        v2 = None if a2 is None else y + a2
+        best = max([v for v in (v1, v2, a3) if v is not None])
+        out.append((v1 == best) | (v2 == best) << 1 | (a3 == best) << 2)
+    return tuple(out)
+
+
 def signature_at(a: TropMatrix3, p: AffinePoint) -> CellSignature:
     """Argmax signature of the three row forms at the chart point p."""
-    coords = (p.x, p.y, 0)
-    sets = []
-    for row in a.values:
-        vals = [None if e is None else e + c for e, c in zip(row, coords)]
-        best = max(v for v in vals if v is not None)
-        sets.append(frozenset(j + 1 for j, v in enumerate(vals) if v == best))
-    return CellSignature(*sets)
+    return CellSignature(*(_SUBSET_OF[m] for m in _tie_masks(a.values, p.x, p.y)))
 
 
 # --- difference-bound machinery -------------------------------------------
@@ -206,18 +221,63 @@ def _feasible_cell(entries, sig, s):
     return dim, bounded, witness, tuple(rec)
 
 
+def _vertices(entries):
+    """Pairwise intersections of the row lines and the four box lines."""
+    xs, ys, ds = set(), set(), set()  # lines x = c, y = c, x - y = c
+    for a1, a2, a3 in entries:
+        if a3 is not None:
+            if a1 is not None:
+                xs.add(a3 - a1)
+            if a2 is not None:
+                ys.add(a3 - a2)
+        if a1 is not None and a2 is not None:
+            ds.add(a2 - a1)
+    b = 2 * max(map(abs, xs | ys | ds), default=0) + 1
+    xs |= {b, -b}
+    ys |= {b, -b}
+    return ({(x, y) for x in xs for y in ys}
+            | {(x, x - d) for x in xs for d in ds}
+            | {(y + d, y) for y in ys for d in ds})
+
+
+# Off a vertex v, v + eps*u for small eps > 0 keeps, in each row, the terms
+# tied at v with the largest gradient . u (gradients (1,0), (0,1), (0,0)).
+# The probes u are v itself, the six directions of the lines through v and
+# one direction inside each sector between them; every cell with v in its
+# closure holds one of these points.
+_PROBES = ((0, 0), (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1),
+           (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -1))
+
+
+def _leading(mask, u):
+    score = {j: (u[0], u[1], 0)[j] for j in range(3) if mask >> j & 1}
+    top = max(score.values())
+    return sum(1 << j for j, v in score.items() if v == top)
+
+
+# mask at v -> its leading terms at each probe, in _PROBES order
+_PROBE_TABLE = {m: tuple(_leading(m, u) for u in _PROBES) for m in _MASKS}
+
+
 def enumerate_cells(a: TropMatrix3) -> Arrangement:
     """All feasible argmax signatures with dimension, boundedness, witness."""
     s = scale(a)
     entries = scaled(a, s)
+    found = set()
+    for ties in {_tie_masks(entries, x, y) for x, y in _vertices(entries)}:
+        found.update(zip(*(_PROBE_TABLE[m] for m in ties)))
+    # witnesses have coordinates in (1/4)Z on the scaled grid
+    grid4 = [[None if e is None else 4 * e for e in row] for row in entries]
     cells = []
-    for s1, s2, s3 in product(_SUBSETS, repeat=3):
-        sig = CellSignature(s1, s2, s3)
+    for masks in sorted(found, key=lambda ms: [_RANK[m] for m in ms]):
+        sig = CellSignature(*(_SUBSET_OF[m] for m in masks))
         got = _feasible_cell(entries, sig, s)
         if got is None:
-            continue
+            raise InternalInconsistencyError("probed signature is infeasible")
         dim, bounded, witness, rec = got
-        if signature_at(a, witness) != sig:
+        x4, y4 = (v.numerator * (4 * s // v.denominator)
+                  for v in (witness.x, witness.y))
+        if _tie_masks(grid4, x4, y4) != masks:
             raise InternalInconsistencyError("witness escapes its cell")
         cells.append(Cell(sig, dim, bounded, witness, rec))
     return Arrangement(tuple(cells))
