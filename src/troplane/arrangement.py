@@ -7,9 +7,9 @@ closure: the lines where two terms of a row tie (x = c, y = c, x - y = c),
 plus four box lines that make the arrangement pointed even when rows have
 -inf entries.  So the signatures are read exactly at those vertices and just
 off them, in the 6 ray and 6 sector directions of the lines, and only these
-are built.  The feasible systems only involve bounds on x, y and x-y, so a
-three-node difference-bound matrix with strictness flags decides
-feasibility, dimension and boundedness.
+are built.  Each cell is read off the probe that found it: the probe point
+is its witness, the tie lines of its rows give its dimension, and the rows'
+homogeneous constraints give its recession directions.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Cell:
     signature: CellSignature
     dim: int
     bounded: bool
-    witness: AffinePoint
+    witness: AffinePoint  # the probe point that found the cell
     recession_dirs: tuple[tuple[int, int], ...]
 
 
@@ -90,137 +90,6 @@ def signature_at(a: TropMatrix3, p: AffinePoint) -> CellSignature:
     return CellSignature(*(_SUBSET_OF[m] for m in _tie_masks(a.values, p.x, p.y)))
 
 
-# --- difference-bound machinery -------------------------------------------
-# Nodes: 0 = the constant 0, 1 = x, 2 = y.  dbm[i][j] = (c, strict) encodes
-# v_i - v_j <= c (or < c when strict); None means unbounded.
-
-def _tighten(dbm, i, j, c, strict):
-    cur = dbm[i][j]
-    if cur is None or c < cur[0] or (c == cur[0] and strict and not cur[1]):
-        dbm[i][j] = (c, strict)
-
-
-def _close(dbm):
-    """Floyd-Warshall closure; returns False when the system is infeasible."""
-    for k in range(3):
-        for i in range(3):
-            ik = dbm[i][k]
-            if ik is None:
-                continue
-            for j in range(3):
-                kj = dbm[k][j]
-                if kj is None:
-                    continue
-                _tighten(dbm, i, j, ik[0] + kj[0], ik[1] or kj[1])
-    for i in range(3):
-        d = dbm[i][i]
-        if d is not None and (d[0] < 0 or (d[0] == 0 and d[1])):
-            return False
-    return True
-
-
-# Term j of row i is coeff[j] . (x, y, 1): term 1 = x + a, term 2 = y + a,
-# term 3 = a.  The difference of two terms is a difference constraint.
-_TERM_NODE = (1, 2, 0)
-
-
-def _constraints_for(entries, sig):
-    """(i, j, c, strict) difference constraints v_i - v_j <= c, or None."""
-    out = []
-    for r, s in enumerate(sig.rows()):
-        row = entries[r]
-        if any(row[j - 1] is None for j in s):
-            return None  # a -inf term can never attain the maximum
-        members = sorted(s)
-        lead = members[0]
-        for j in members[1:]:
-            # equal terms: two opposite non-strict constraints
-            ni, nj = _TERM_NODE[j - 1], _TERM_NODE[lead - 1]
-            c = row[lead - 1] - row[j - 1]
-            out.append((ni, nj, c, False))
-            out.append((nj, ni, -c, False))
-        for j in (1, 2, 3):
-            if j in s or row[j - 1] is None:
-                continue
-            ni, nj = _TERM_NODE[j - 1], _TERM_NODE[lead - 1]
-            out.append((ni, nj, row[lead - 1] - row[j - 1], True))
-    return out
-
-
-def _interval(lo, hi):
-    """Interior rational of [lo, hi] given as (value, strict) or None."""
-    if lo is not None and hi is not None:
-        if lo[0] == hi[0]:
-            return lo[0]
-        return Fraction(lo[0] + hi[0], 2)
-    if hi is not None:
-        return hi[0] - 1
-    if lo is not None:
-        return lo[0] + 1
-    return Fraction(0)
-
-
-_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
-
-
-def _feasible_cell(entries, sig, s):
-    cons = _constraints_for(entries, sig)
-    if cons is None:
-        return None
-    dbm = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        dbm[i][i] = (0, False)
-    for i, j, c, strict in cons:
-        _tighten(dbm, i, j, c, strict)
-    if not _close(dbm):
-        return None
-
-    def tight(i, j):
-        return (dbm[i][j] is not None and dbm[j][i] is not None
-                and dbm[i][j][0] + dbm[j][i][0] == 0)
-
-    x_fixed, y_fixed, diff_fixed = tight(1, 0), tight(2, 0), tight(1, 2)
-    if x_fixed and y_fixed:
-        dim = 0
-    elif x_fixed or y_fixed or diff_fixed:
-        dim = 1
-    else:
-        dim = 2
-    bounded = all(dbm[i][j] is not None
-                  for i, j in ((1, 0), (0, 1), (2, 0), (0, 2)))
-
-    def neg(b):
-        return None if b is None else (-b[0], b[1])
-
-    x = _interval(neg(dbm[0][1]), dbm[1][0])
-    y_lo = neg(dbm[0][2])
-    if dbm[1][2] is not None:
-        cand = (x - dbm[1][2][0], dbm[1][2][1])
-        if y_lo is None or cand[0] > y_lo[0] or (cand[0] == y_lo[0] and cand[1]):
-            y_lo = cand
-    y_hi = dbm[2][0]
-    if dbm[2][1] is not None:
-        cand = (x + dbm[2][1][0], dbm[2][1][1])
-        if y_hi is None or cand[0] < y_hi[0] or (cand[0] == y_hi[0] and cand[1]):
-            y_hi = cand
-    y = _interval(y_lo, y_hi)
-
-    rec = []
-    if not bounded:
-        # finite closure bounds as (coeff_x, coeff_y) <= const half-planes
-        halves = []
-        for (i, j), coef in (((1, 0), (1, 0)), ((0, 1), (-1, 0)),
-                             ((2, 0), (0, 1)), ((0, 2), (0, -1)),
-                             ((1, 2), (1, -1)), ((2, 1), (-1, 1))):
-            if dbm[i][j] is not None:
-                halves.append(coef)
-        for u, v in _DIRS:
-            if all(cx * u + cy * v <= 0 for cx, cy in halves):
-                rec.append((u, v))
-    witness = AffinePoint(Fraction(x, s), Fraction(y, s))
-    return dim, bounded, witness, tuple(rec)
-
-
 def _vertices(entries):
     """Pairwise intersections of the row lines and the four box lines."""
     xs, ys, ds = set(), set(), set()  # lines x = c, y = c, x - y = c
@@ -259,27 +128,49 @@ def _leading(mask, u):
 _PROBE_TABLE = {m: tuple(_leading(m, u) for u in _PROBES) for m in _MASKS}
 
 
+# The tie of a row's mask pins a cell to one kind of line, as a bit:
+# {1, 3} to x = c, {2, 3} to y = c, {1, 2} to x - y = c, {1, 2, 3} to all.
+_LINE_KINDS = {1: 0, 2: 0, 4: 0, 3: 4, 5: 1, 6: 2, 7: 7}
+
+_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+
+
+# (tie mask, mask of the row's finite terms) -> the _DIRS a cell may recede
+# in: those along which its tied terms grow fastest of the finite terms
+_RECESSION = {(m, f): {u for u in _DIRS if _leading(f, u) & m == m}
+              for f in range(1, 8) for m in _MASKS if m & f == m}
+
+
 def enumerate_cells(a: TropMatrix3) -> Arrangement:
-    """All feasible argmax signatures with dimension, boundedness, witness."""
+    """All non-empty argmax signatures with dimension, boundedness, witness."""
     s = scale(a)
     entries = scaled(a, s)
-    found = set()
-    for ties in {_tie_masks(entries, x, y) for x, y in _vertices(entries)}:
-        found.update(zip(*(_PROBE_TABLE[m] for m in ties)))
-    # witnesses have coordinates in (1/4)Z on the scaled grid
+    first = {}  # tie masks -> the first vertex that has them
+    for v in sorted(_vertices(entries)):
+        first.setdefault(_tie_masks(entries, *v), v)
+    probes = {}  # cell masks -> the first vertex and probe that read them
+    for ties, v in first.items():
+        for masks, u in zip(zip(*(_PROBE_TABLE[m] for m in ties)), _PROBES):
+            probes.setdefault(masks, (v, u))
+    # v + u/4 crosses no line x = c, y = c or x - y = c with integer c, so on
+    # the scaled grid times 4 the probe point 4v + u lies in the probed cell
     grid4 = [[None if e is None else 4 * e for e in row] for row in entries]
+    finite = [sum(1 << j for j, e in enumerate(row) if e is not None)
+              for row in entries]
     cells = []
-    for masks in sorted(found, key=lambda ms: [_RANK[m] for m in ms]):
-        sig = CellSignature(*(_SUBSET_OF[m] for m in masks))
-        got = _feasible_cell(entries, sig, s)
-        if got is None:
-            raise InternalInconsistencyError("probed signature is infeasible")
-        dim, bounded, witness, rec = got
-        x4, y4 = (v.numerator * (4 * s // v.denominator)
-                  for v in (witness.x, witness.y))
+    for masks in sorted(probes, key=lambda ms: [_RANK[m] for m in ms]):
+        (x, y), (ux, uy) = probes[masks]
+        x4, y4 = 4 * x + ux, 4 * y + uy
         if _tie_masks(grid4, x4, y4) != masks:
             raise InternalInconsistencyError("witness escapes its cell")
-        cells.append(Cell(sig, dim, bounded, witness, rec))
+        m1, m2, m3 = masks
+        kinds = _LINE_KINDS[m1] | _LINE_KINDS[m2] | _LINE_KINDS[m3]
+        rec = tuple(u for u in _DIRS
+                    if all(u in _RECESSION[mf] for mf in zip(masks, finite)))
+        cells.append(Cell(CellSignature(*(_SUBSET_OF[m] for m in masks)),
+                          2 - min(2, kinds.bit_count()), not rec,
+                          AffinePoint(Fraction(x4, 4 * s), Fraction(y4, 4 * s)),
+                          rec))
     return Arrangement(tuple(cells))
 
 

@@ -72,29 +72,38 @@ class PiecewiseReport:
     entries: tuple[CellBehavior, ...]
 
 
-def _cell_samples(f: TropMatrix3, cell: Cell, want: int = 3):
-    """At least `want` rational points inside the (convex, open) 2-cell."""
+_SAMPLES = 3  # points drawn around the witness of each 2-cell
+
+
+def _cell_samples(f: TropMatrix3, cell: Cell):
+    """_SAMPLES rational points inside the (convex, open) 2-cell.
+
+    An unbounded cell also gets a far point along its first recession
+    direction; the convex cell holds it, so leaving it is an internal error.
+    """
     w = cell.witness
     samples = [w]
     eps = Fraction(1)
     tries = 0
-    while len(samples) < want and tries < 80:
+    while len(samples) < _SAMPLES and tries < 80:
         for dx, dy in ((eps, 0), (0, eps), (-eps, 0), (0, -eps),
                        (eps, eps), (-eps, -eps)):
             cand = AffinePoint(w.x + dx, w.y + dy)
             if cand not in samples and signature_at(f, cand) == cell.signature:
                 samples.append(cand)
-                if len(samples) >= want:
+                if len(samples) >= _SAMPLES:
                     break
         eps /= 2
         tries += 1
-    if len(samples) < want:
+    if len(samples) < _SAMPLES:
         raise InternalInconsistencyError("could not sample cell interior")
     # convexity: pushing along a recession direction stays inside
     for u, v in cell.recession_dirs[:1]:
         far = AffinePoint(w.x + 7 * u, w.y + 7 * v)
-        if signature_at(f, far) == cell.signature:
-            samples.append(far)
+        if signature_at(f, far) != cell.signature:
+            raise InternalInconsistencyError(
+                "recession direction leaves the cell")
+        samples.append(far)
     return samples
 
 
@@ -132,42 +141,32 @@ def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
         if cell.dim != 2:
             continue
         samples = _cell_samples(f, cell)
+        images = [apply(f, embed(s)) for s in samples]
         if cell.bounded:
-            for s in samples:
-                if apply(f, embed(s)) != embed(s):
-                    raise InternalInconsistencyError(
-                        "bounded cell sample is not fixed")
+            if any(img != embed(s) for s, img in zip(samples, images)):
+                raise InternalInconsistencyError(
+                    "bounded cell sample is not fixed")
             entries.append(CellBehavior(cell, IDENTITY_ON_SOMA, None, (), tuple(samples)))
             continue
-        image0 = chart(apply(f, embed(samples[0])))
+        image0 = chart(images[0])
         if cell.signature in antenna_sigs:
             ant = antenna_sigs[cell.signature]
             b, t = chart(ant.base), chart(ant.tip)
-            for s in samples:
-                q = chart(apply(f, embed(s)))
-                if not _on_segment(q, b, t):
-                    raise InternalInconsistencyError(
-                        "antenna cell sample does not map into the antenna")
+            if not all(_on_segment(chart(img), b, t) for img in images):
+                raise InternalInconsistencyError(
+                    "antenna cell sample does not map into the antenna")
             entries.append(CellBehavior(cell, COLLAPSE, image0, (), tuple(samples)))
             continue
-        good_dirs = []
-        for u, v in cell.recession_dirs:
-            ok = True
-            for s in samples:
-                img = apply(f, embed(s))
-                moved = apply(f, embed(AffinePoint(s.x + u, s.y + v)))
-                if img != moved:
-                    ok = False
-                    break
-            if ok:
-                good_dirs.append((u, v))
+        good_dirs = tuple(
+            (u, v) for u, v in cell.recession_dirs
+            if all(apply(f, embed(AffinePoint(s.x + u, s.y + v))) == img
+                   for s, img in zip(samples, images)))
         if not good_dirs:
             raise InternalInconsistencyError(
                 "unbounded cell has no invariant recession direction")
-        for s in samples:
-            if not member(apply(f, embed(s)), f):
-                raise InternalInconsistencyError(
-                    "projection image leaves the triangle")
+        if not all(member(img, f) for img in images):
+            raise InternalInconsistencyError(
+                "projection image leaves the triangle")
         entries.append(CellBehavior(cell, PROJECTION, image0,
-                                    tuple(good_dirs), tuple(samples)))
+                                    good_dirs, tuple(samples)))
     return PiecewiseReport(f, tuple(entries))

@@ -1,27 +1,35 @@
 """The vertex-probe arrangement enumerator against the brute-force oracle.
 
-``arrangement_oracle`` tests all 343 candidate signatures.  Both must return
-the same cells, in the same order, with the same dimensions, witnesses and
-recession directions.  ``tests/arrangement_sweep.py`` runs the same
-comparison on every matrix in {-1, 0, 1}^9.
+``arrangement_oracle`` tests all 343 candidate signatures with a
+difference-bound solver.  Both must return the same cells, in the same order,
+with the same dimensions, boundedness, recession directions and 0-cell
+points, and every witness must lie in its cell (``first_difference``).
+``tests/arrangement_sweep.py`` runs the same comparison on every matrix in
+{-1, 0, 1}^9.
 """
 
+import importlib
 import itertools
+import pkgutil
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import arrangement_oracle as oracle
+import troplane
 from troplane import arrangement
-from troplane.arrangement import enumerate_cells
+from troplane.arrangement import Arrangement, enumerate_cells
 from troplane.errors import InternalInconsistencyError
 from troplane.matrices import TropMatrix3
 from troplane.randgen import rand_fraction, rand_matrix
 
 
 def _same_as_oracle(a):
-    assert enumerate_cells(a) == oracle.enumerate_cells(a), a.values
+    field = oracle.first_difference(a, enumerate_cells(a),
+                                    oracle.enumerate_cells(a))
+    assert field is None, (field, a.values)
 
 
 def _large(rng):
@@ -70,30 +78,45 @@ def test_minus_infinity_entries_match_oracle(k):
     assert (two_term_rows > 0) == (1 <= k <= 5)
 
 
-def test_one_closure_per_cell(monkeypatch):
-    """Only the probed signatures reach the difference-bound test."""
-    calls = []
-    feasible = arrangement._feasible_cell
-    monkeypatch.setattr(arrangement, "_feasible_cell",
-                        lambda *args: calls.append(1) or feasible(*args))
-    arr = enumerate_cells(rand_matrix(random.Random(54)))
-    assert len(calls) == len(arr.cells) == 31
+def test_first_difference_names_the_field():
+    a = rand_matrix(random.Random(57))
+    want = oracle.enumerate_cells(a)
+    got = enumerate_cells(a)
+    assert oracle.first_difference(a, got, want) is None
+    assert any(g.witness != w.witness for g, w in zip(got.cells, want.cells))
+    cells = list(want.cells)
+    i, j = [k for k, c in enumerate(cells) if c.dim == 0][:2]
+    t = next(k for k, c in enumerate(cells) if c.dim == 2)
+
+    def diff(k, **change):
+        changed = cells[:k] + [replace(cells[k], **change)] + cells[k + 1:]
+        return oracle.first_difference(a, Arrangement(tuple(changed)), want)
+
+    assert diff(i) is None
+    assert diff(i, dim=1) == f"dim of {cells[i].signature}"
+    assert diff(i, bounded=False).startswith("bounded of")
+    assert diff(i, recession_dirs=((1, 0),)).startswith("recession_dirs of")
+    assert diff(i, witness=cells[j].witness).startswith("witness of the 0-cell")
+    assert diff(t, witness=cells[i].witness).startswith("got witness outside")
+    assert oracle.first_difference(
+        a, Arrangement(tuple(reversed(cells))), want) == "order"
+    assert oracle.first_difference(
+        a, Arrangement(tuple(cells[1:])), want) == "signature"
 
 
-def test_infeasible_probe_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(arrangement, "_feasible_cell", lambda *args: None)
-    with pytest.raises(InternalInconsistencyError, match="infeasible"):
-        enumerate_cells(rand_matrix(random.Random(55)))
+def test_serving_modules_define_no_difference_bounds():
+    """The difference-bound solver lives only in the oracle."""
+    dbm = {"_tighten", "_close", "_TERM_NODE", "_constraints_for",
+           "_interval", "_feasible_cell"}
+    assert dbm <= set(vars(oracle))
+    for info in pkgutil.iter_modules(troplane.__path__):
+        module = importlib.import_module(f"troplane.{info.name}")
+        assert not dbm & set(vars(module)), info.name
 
 
 def test_escaping_witness_is_an_internal_error(monkeypatch):
-    feasible = arrangement._feasible_cell
-
-    def far_witness(*args):
-        dim, bounded, _, rec = feasible(*args)
-        return dim, bounded, arrangement.AffinePoint(Fraction(10**6),
-                                                     Fraction(1, 4)), rec
-
-    monkeypatch.setattr(arrangement, "_feasible_cell", far_witness)
+    """Probing opposite the tabled directions puts witnesses in other cells."""
+    monkeypatch.setattr(arrangement, "_PROBES",
+                        tuple((-u, -v) for u, v in arrangement._PROBES))
     with pytest.raises(InternalInconsistencyError, match="escapes"):
         enumerate_cells(rand_matrix(random.Random(56)))

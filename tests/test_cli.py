@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -114,6 +115,32 @@ def test_figure_svg(tmp_path, capsys):
     assert main(["figure", "--input", path,
                  "--viewport=-12,12,-12,12"]) == EXIT_OK
     assert capsys.readouterr().out == svg
+
+
+# SHA-256 of the analyze JSON and the figure SVG (default viewport) of the
+# README matrix, a {-1, 0, 1} matrix with many ties (3/9/7 cells) and a
+# generic rational matrix; the arrangement feeds both outputs.
+PINNED_OUTPUTS = [
+    ([["0", "-5", "0"], ["-7", "0", "0"], ["-6", "-1", "0"]],
+     "5546a0ce94db86b889a483387a856db111e75707e57c0deee122937affa241cb",
+     "cf47944bef8369dd4a529bb6037c9ac6efe768161ffcfdc63cb68000a63351e5"),
+    ([["0", "1", "0"], ["-1", "0", "1"], ["0", "-1", "0"]],
+     "fc5f393c9997ba51f57c38c96a918148d134f60537ee8adc98335217dfdb3140",
+     "eef08f496c2437882d58aa6926c8d164a863de7c65cf330d3c7f1f7f30baa54b"),
+    ([["3/7", "-2", "5/3"], ["-11/5", "1/2", "4"], ["7/3", "-9/4", "0"]],
+     "4ae1c049e4b566dbf82b07acf02ade018a659f988ed0dd8318e561ec4b97cb21",
+     "1759fb19be1b1205ce083725383c25c76999655571f2461525daa3c2a9bdc8e2"),
+]
+
+
+@pytest.mark.parametrize("entries,analyze_sha,figure_sha", PINNED_OUTPUTS)
+def test_analyze_and_figure_bytes_are_pinned(entries, analyze_sha, figure_sha,
+                                             tmp_path, capsys):
+    path = _write(tmp_path, "m.json", json.dumps({"entries": entries}))
+    for command, want in (("analyze", analyze_sha), ("figure", figure_sha)):
+        assert main([command, "--input", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, command
 
 
 def test_figure_rejects_degenerate_viewport(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from troplane import mapping
+from troplane.arrangement import Arrangement, enumerate_cells
 from troplane.errors import (
     InternalInconsistencyError,
     NonFiniteEntryError,
@@ -97,6 +100,32 @@ def test_piecewise_report_with_antennas():
 def test_piecewise_report_requires_canonical():
     with pytest.raises(NotCanonicalError):
         piecewise_report(TropMatrix3.of([[0, 1, 3], [0, 3, 4], [0, 0, 0]]))
+
+
+def test_piecewise_report_applies_the_map_once_per_sample(monkeypatch):
+    """Each sample is mapped once; only the shifted points of the
+    direction check add calls."""
+    calls = []
+    monkeypatch.setattr(mapping, "apply",
+                        lambda a, p: calls.append(p) or apply(a, p))
+    for f in (L3924, PINWHEEL_F, TWO_ANT_F):
+        calls.clear()
+        rep = piecewise_report(f)
+        bound = sum(len(e.samples) * (1 + len(e.cell.recession_dirs)
+                                      * (e.behavior == PROJECTION))
+                    for e in rep.entries)
+        assert len(calls) <= bound
+
+
+def test_far_sample_outside_its_cell_is_an_internal_error(monkeypatch):
+    """A recession direction that leaves its cell is reported, not skipped."""
+    arr = enumerate_cells(TWO_ANT_F)
+    flipped = Arrangement(tuple(
+        replace(c, recession_dirs=tuple((-u, -v) for u, v in c.recession_dirs))
+        if c.dim == 2 else c for c in arr.cells))
+    monkeypatch.setattr(mapping, "enumerate_cells", lambda f: flipped)
+    with pytest.raises(InternalInconsistencyError, match="leaves the cell"):
+        piecewise_report(TWO_ANT_F)
 
 
 def test_corner_sample_projection_value():
