@@ -2,8 +2,8 @@
 
 Scalars are exact rationals extended with -inf; all geometry (spans,
 triangles, somas, antennas, plane arrangements, piecewise map behavior) is
-computed with exact arithmetic.  Floating point appears only when figures are
-serialized to SVG.
+computed with exact arithmetic.  Decimals appear only when figures are
+serialized to SVG, rounded exactly.
 """
 
 from .arrangement import (
@@ -13,7 +13,6 @@ from .arrangement import (
     antenna_cell,
     bounded_complex,
     enumerate_cells,
-    injectivity_set,
     signature_at,
 )
 from .errors import TroplaneError
@@ -49,13 +48,10 @@ from .projective import (
     cross,
     on_line,
     point,
-    span_segment,
 )
 from .scalars import (
-    BOTTOM,
     TropScalar,
     plane_norm,
-    trop,
     trop_distance,
 )
 from .svgfig import Viewport, render_figure

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistencyError, NoSuchAntennaError, NotNormalError
-from .matrices import TropMatrix3, is_normal, scale, scaled
+from .errors import InternalInconsistencyError, NoSuchAntennaError
+from .matrices import TropMatrix3, scale, scaled
 from .normalform import CanonicalParams, read_params
 from .projective import AffinePoint
 
@@ -187,14 +187,6 @@ def bounded_complex(a: TropMatrix3):
     vertices = [c.witness for c in arr.cells
                 if c.dim == 0 and c.signature.refines(cell.signature)]
     return cell, vertices
-
-
-def injectivity_set(n: TropMatrix3):
-    """Open region where the map of a normal matrix has unique preimages."""
-    if not is_normal(n):
-        raise NotNormalError("injectivity_set requires a normal matrix")
-    n.require_finite("injectivity_set")
-    return bounded_complex(n)[0]
 
 
 @dataclass(frozen=True, slots=True)

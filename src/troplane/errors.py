@@ -9,10 +9,6 @@ class ParseError(TroplaneError):
     """Malformed scalar, point or matrix input."""
 
 
-class BottomArithmeticError(TroplaneError):
-    """Arithmetic combining bottom/top outside the defined cases."""
-
-
 class BoundaryPointError(TroplaneError):
     """Operation undefined on the boundary of the projective plane."""
 

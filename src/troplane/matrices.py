@@ -19,7 +19,7 @@ from .errors import (
     NotNormalError,
 )
 from .projective import ProjPoint
-from .scalars import BOTTOM, RationalLike, TropScalar, as_fraction, format_value
+from .scalars import TropScalar, as_fraction, format_value, t_add, t_mul
 
 
 class TropMatrix3:
@@ -60,14 +60,6 @@ class TropMatrix3:
     def from_columns(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> "TropMatrix3":
         return TropMatrix3.of(zip(p.values, q.values, r.values))
 
-    @property
-    def rows(self) -> tuple[tuple[TropScalar, ...], ...]:
-        """The entries as TropScalars."""
-        return tuple(tuple(map(TropScalar, r)) for r in self.values)
-
-    def entry(self, i: int, j: int) -> TropScalar:
-        return TropScalar(self.values[i][j])
-
     def column(self, j: int) -> ProjPoint:
         return ProjPoint(tuple(r[j] for r in self.values))
 
@@ -80,8 +72,7 @@ class TropMatrix3:
 
     def entrywise_max(self, other: "TropMatrix3") -> "TropMatrix3":
         return TropMatrix3.of(
-            [x if y is None or (x is not None and x >= y) else y
-             for x, y in zip(r, s)] for r, s in zip(self.values, other.values))
+            map(t_add, r, s) for r, s in zip(self.values, other.values))
 
     def entrywise_le(self, other: "TropMatrix3") -> bool:
         return all(x is None or (y is not None and x <= y)
@@ -105,7 +96,6 @@ class TropMatrix3:
 
 
 IDENTITY = TropMatrix3.of([[0, None, None], [None, 0, None], [None, None, 0]])
-ZERO_MATRIX = TropMatrix3.of([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 # --- Grid primitives -------------------------------------------------------
@@ -207,7 +197,7 @@ def chart0(a: TropMatrix3) -> TropMatrix3:
 
 @dataclass(frozen=True, slots=True)
 class DetResult:
-    value: TropScalar
+    value: Fraction | None
     regular: bool
 
 
@@ -219,9 +209,9 @@ def trop_det(a: TropMatrix3) -> DetResult:
     """
     sums = [s for s in assignment_sums(a.values) if s is not None]
     if not sums:
-        return DetResult(BOTTOM, False)  # all six sums are -inf: singular
+        return DetResult(None, False)  # all six sums are -inf: singular
     best = max(sums)
-    return DetResult(TropScalar(best), sums.count(best) == 1)
+    return DetResult(best, sums.count(best) == 1)
 
 
 def adjoint_hat(a: TropMatrix3) -> TropMatrix3:
@@ -238,13 +228,8 @@ def breve(a: TropMatrix3) -> TropMatrix3:
     if v[0][0] is None or v[1][1] is None or v[2][2] is None:
         raise NonFiniteEntryError("breve requires a finite diagonal")
 
-    def through(i, j):
-        k = 3 - i - j
-        x, y = v[i][k], v[k][j]
-        return None if x is None or y is None else x + y
-
-    return TropMatrix3.of([0 if i == j else through(i, j) for j in range(3)]
-                          for i in range(3))
+    return TropMatrix3.of([0 if i == j else t_mul(v[i][3 - i - j], v[3 - i - j][j])
+                           for j in range(3)] for i in range(3))
 
 
 def is_normal(a: TropMatrix3) -> bool:
@@ -274,18 +259,6 @@ class MonomialMatrix:
     def identity() -> "MonomialMatrix":
         return MonomialMatrix((0, 1, 2), (Fraction(0),) * 3)
 
-    @staticmethod
-    def diag(t1: RationalLike, t2: RationalLike, t3: RationalLike) -> "MonomialMatrix":
-        return MonomialMatrix((0, 1, 2), (as_fraction(t1), as_fraction(t2), as_fraction(t3)))
-
-    @staticmethod
-    def from_matrix(a: TropMatrix3) -> "MonomialMatrix":
-        if not is_monomial_pattern(a):
-            raise InvalidMatrixError("matrix does not have a monomial pattern")
-        perm = tuple(next(j for j in range(3) if row[j] is not None)
-                     for row in a.values)
-        return MonomialMatrix(perm, tuple(row[j] for row, j in zip(a.values, perm)))
-
     def to_matrix(self) -> TropMatrix3:
         return TropMatrix3.of([off if j == k else None for j in range(3)]
                               for k, off in zip(self.perm, self.offsets))
@@ -305,7 +278,7 @@ class MonomialMatrix:
 
     def apply(self, p: ProjPoint) -> ProjPoint:
         v = p.values
-        return ProjPoint(tuple(None if v[k] is None else off + v[k]
+        return ProjPoint(tuple(t_mul(off, v[k])
                                for k, off in zip(self.perm, self.offsets)))
 
     def conjugate(self, a: TropMatrix3) -> TropMatrix3:
@@ -331,5 +304,3 @@ def is_monomial_pattern(a: TropMatrix3) -> bool:
 
 # Cyclic coordinate relabeling 1 -> 2 -> 3 -> 1: maps [p1,p2,p3] to [p3,p1,p2].
 CYCLIC = MonomialMatrix((2, 0, 1), (Fraction(0),) * 3)
-
-P12 = MonomialMatrix((1, 0, 2), (Fraction(0),) * 3)

@@ -155,10 +155,12 @@ def make_F(p: CanonicalParams) -> TropMatrix3:
 
 
 def read_params(f: TropMatrix3) -> CanonicalParams:
-    """Parameters of a matrix already in canonical form.
+    """Parameters of a matrix of the form make_F(p), p admissible.
 
     Inverts the make_F entry pattern exactly; raises NotCanonicalError when
-    the matrix is not a valid canonical form.
+    the matrix is not make_F of admissible parameters.  Admissible parameters
+    need not be canonical: canonical_form(make_F(p)).params may differ from
+    p (see triangle.is_pinwheel).
     """
     f.require_finite("read_params")
     v = f.values
@@ -267,12 +269,12 @@ def _idempotent(b: Grid) -> tuple[int, tuple, MonomialMatrix]:
     side lengths t1..t4 and converts them to (d, d1, d2, d3).
     """
     if not grid_is_normal(b):
-        raise NotIdempotentError("canonical_idempotent requires a normal matrix")
+        raise NotIdempotentError("idempotent canonicalization requires a normal matrix")
     if grid_mul(b, b) != b:
         raise NotIdempotentError("matrix is not idempotent")
     if any(None in row for row in b):
         raise NonFiniteEntryError(
-            "canonical_idempotent requires all nine entries finite")
+            "idempotent canonicalization requires all nine entries finite")
     for perm in PERMS:
         # relabel by perm; centering then subtracts c13 from row 1 and c23
         # from row 2 and adds them back to columns 1 and 2
@@ -372,18 +374,6 @@ def normalize(a: TropMatrix3) -> Normalization:
     if is_normal(a):
         return Normalization(a, MonomialMatrix.identity(), MonomialMatrix.identity())
     return _normalization_for(a, *_admissible_pairs(a)[0])
-
-
-def canonical_idempotent(b: TropMatrix3):
-    """Canonical parameters of a normal idempotent matrix.
-
-    Returns (d, dv, M) with make_L(d, dv) = M^{-1} (.) B (.) M, M a diagonal
-    monomial matrix.  Centers column 3 at the chart origin, reads the side
-    lengths t1..t4 and converts them to (d, d1, d2, d3).
-    """
-    s = 3 * scale(b)
-    d, dv, mono = _idempotent(scaled(b, s))
-    return Fraction(d, s), tuple(Fraction(v, s) for v in dv), _unscale_monomial(mono, s)
 
 
 def canonical_form(a: TropMatrix3) -> CanonicalResult:

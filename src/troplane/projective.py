@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundaryPointError, DegenerateError
-from .scalars import RationalLike, TropScalar, as_fraction, format_value
+from .scalars import RationalLike, as_fraction, format_value, t_add, t_mul
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,10 +48,6 @@ class ProjPoint:
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("ProjPoint is immutable")
-
-    def __getitem__(self, i: int) -> TropScalar:
-        """Coordinate i as a TropScalar."""
-        return TropScalar(self.values[i])
 
     def canonical(self) -> tuple[Fraction | None, ...]:
         """Representative with maximum coordinate shifted to 0."""
@@ -108,11 +104,6 @@ def embed(p: AffinePoint) -> ProjPoint:
     return point(p.x, p.y, 0)
 
 
-def _plus(x: Fraction | None, y: Fraction | None) -> Fraction | None:
-    """Tropical product x ⊙ y: the sum, -inf when either is."""
-    return None if x is None or y is None else x + y
-
-
 def cross(p: ProjPoint, q: ProjPoint) -> ProjPoint:
     """Tropical cross product (Cramer's rule).
 
@@ -120,11 +111,8 @@ def cross(p: ProjPoint, q: ProjPoint) -> ProjPoint:
     dually, the stable join of the points p and q is the line with these
     coefficients, and -cross(p, q) is its vertex.
     """
-    out = []
-    for i, j in ((1, 2), (0, 2), (0, 1)):
-        s = _plus(p.values[i], q.values[j])
-        t = _plus(q.values[i], p.values[j])
-        out.append(t if s is None else s if t is None else max(s, t))
+    out = [t_add(t_mul(p.values[i], q.values[j]), t_mul(q.values[i], p.values[j]))
+           for i, j in ((1, 2), (0, 2), (0, 1))]
     if out == [None, None, None]:
         raise DegenerateError("cross product has no finite coordinate")
     return ProjPoint(tuple(out))
@@ -135,38 +123,8 @@ def on_line(q: ProjPoint, line: TropLine) -> bool:
 
     When every term is -inf the maximum -inf is attained three times.
     """
-    terms = [t for t in map(_plus, line.coeffs.values, q.values) if t is not None]
+    terms = [t for t in map(t_mul, line.coeffs.values, q.values) if t is not None]
     return not terms or terms.count(max(terms)) >= 2
-
-
-@dataclass(frozen=True, slots=True)
-class SpanSegment:
-    """Tropical segment between two chart points: at most two classical legs.
-
-    The elbow is the vertex of the stable join line; the polyline runs
-    p -> elbow -> q and degenerates when the elbow coincides with an end.
-    """
-
-    p: AffinePoint
-    elbow: AffinePoint
-    q: AffinePoint
-
-    def leg_points(self) -> tuple[AffinePoint, ...]:
-        pts = [self.p]
-        if self.elbow != self.p and self.elbow != self.q:
-            pts.append(self.elbow)
-        if self.q != pts[-1]:
-            pts.append(self.q)
-        return tuple(pts)
-
-
-def span_segment(p: ProjPoint, q: ProjPoint) -> SpanSegment:
-    """Span of two chart-representable points, with its elbow."""
-    cp, cq = chart(p), chart(q)
-    if cp == cq:
-        return SpanSegment(cp, cp, cq)
-    elbow = chart(-cross(p, q))
-    return SpanSegment(cp, elbow, cq)
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:

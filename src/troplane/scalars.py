@@ -1,10 +1,11 @@
 """Exact max-plus scalar arithmetic and the plane norm.
 
-Scalars are exact rationals extended with a bottom element (-inf).  Inside
-the library a scalar is a `Fraction | None`, with None for -inf; `TropScalar`
-wraps one for parsing, printing and the semiring laws.  `parse_value` and
-`format_value` are the one text form of both.  All arithmetic is exact; there
-is no floating-point mode.
+Scalars are exact rationals extended with a bottom element (-inf).  The
+library has one scalar representation, a `Fraction | None` with None for
+-inf, and `t_add`/`t_mul` are the semiring operations on it.  `parse_value`
+and `format_value` are its one text form.  `TropScalar` is only the type of
+a parsed literal, which the `TropMatrix3(rows)` constructor accepts.  All
+arithmetic is exact; there is no floating-point mode.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import BottomArithmeticError, ParseError
+from .errors import ParseError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -70,39 +71,12 @@ def format_value(x: Fraction | None) -> str:
 
 @dataclass(frozen=True, slots=True)
 class TropScalar:
-    """A max-plus scalar: an exact rational or bottom (-inf).
+    """A parsed scalar literal, as `TropMatrix3(rows)` accepts it.
 
-    Bottom is the neutral element of tropical addition (max) and absorbing
-    for tropical multiplication (+).  It compares strictly below every
-    finite value.
+    It only carries `value`; the library computes on the values.
     """
 
     value: Fraction | None  # None encodes -inf
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.value is None
-
-    @property
-    def finite(self) -> Fraction:
-        if self.value is None:
-            raise BottomArithmeticError("expected a finite tropical scalar")
-        return self.value
-
-    def __lt__(self, other: "TropScalar") -> bool:
-        if self.value is None:
-            return other.value is not None
-        if other.value is None:
-            return False
-        return self.value < other.value
-
-    def __le__(self, other: "TropScalar") -> bool:
-        return self == other or self < other
-
-    def __neg__(self) -> "TropScalar":
-        if self.value is None:
-            raise BottomArithmeticError("cannot negate -inf inside the max-plus scalars")
-        return TropScalar(-self.value)
 
     def __str__(self) -> str:
         return format_value(self.value)
@@ -115,29 +89,18 @@ class TropScalar:
         return TropScalar(parse_value(text))
 
 
-BOTTOM = TropScalar(None)
-ZERO = TropScalar(Fraction(0))
-
-
-def trop(x: RationalLike) -> TropScalar:
-    """Build a finite tropical scalar from a rational-like value."""
-    return TropScalar(as_fraction(x))
-
-
-def t_add(a: TropScalar, b: TropScalar) -> TropScalar:
-    """Tropical addition: max.  Bottom is neutral."""
-    if a.value is None:
+def t_add(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+    """Tropical addition: max.  -inf (None) is neutral."""
+    if a is None:
         return b
-    if b.value is None:
+    if b is None:
         return a
-    return a if a.value >= b.value else b
+    return a if a >= b else b
 
 
-def t_mul(a: TropScalar, b: TropScalar) -> TropScalar:
-    """Tropical multiplication: classical sum.  Bottom is absorbing."""
-    if a.value is None or b.value is None:
-        return BOTTOM
-    return TropScalar(a.value + b.value)
+def t_mul(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+    """Tropical multiplication: classical sum.  -inf (None) is absorbing."""
+    return None if a is None or b is None else a + b
 
 
 def plane_norm(p1: RationalLike, p2: RationalLike) -> Fraction:

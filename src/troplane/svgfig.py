@@ -1,13 +1,12 @@
 """Deterministic SVG rendering of a map's plane geometry in the Z=0 chart.
 
 All geometry is computed exactly with rationals; decimal conversion happens
-only when coordinates are serialized (6 digits, round-half-even).
+only when coordinates are serialized (6 decimals, round-half-even).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .arrangement import enumerate_cells
@@ -15,22 +14,18 @@ from .matrices import TropMatrix3, chart0, power
 from .projective import AffinePoint, chart, embed
 from .triangle import DIRECTIONS, analyze, hrep_idempotent
 
-_QUANTUM = Decimal("0.000001")
-
 
 def fmt(v: Fraction) -> str:
-    """Fixed-precision decimal rendering of an exact rational.
+    """Six-decimal rendering of an exact rational, rounded half to even.
 
-    The division keeps 50 significant digits, which holds six decimals up to
-    |v| < 10^44; a larger value is divided again with the digits it needs.
+    The rounding is exact integer arithmetic on numerator and denominator,
+    so it holds at every magnitude and rounds only once.
     """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        d = Decimal(v.numerator) / Decimal(v.denominator)
-        if d.adjusted() > 43:
-            ctx.prec = d.adjusted() + 8
-            d = Decimal(v.numerator) / Decimal(v.denominator)
-        return str(d.quantize(_QUANTUM, rounding=ROUND_HALF_EVEN))
+    q, r = divmod(abs(v.numerator) * 10**6, v.denominator)
+    if 2 * r > v.denominator or (2 * r == v.denominator and q % 2):
+        q += 1
+    whole, frac = divmod(q, 10**6)
+    return f"{'-' if v < 0 else ''}{whole}.{frac:06d}"
 
 
 @dataclass(frozen=True)

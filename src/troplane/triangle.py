@@ -143,7 +143,15 @@ def analyze(a: TropMatrix3) -> TriangleReport:
 
 
 def is_pinwheel(a: TropMatrix3) -> bool:
-    """Whether some monomial change of coordinates removes the g-antenna."""
+    """Whether no admissible normalization of A has a g-antenna.
+
+    This is the library's definition of a pinwheel: no admissible
+    normalization gives a canonical candidate with g > 0.  canonical_form
+    keeps the smallest key (d, -g, dv, h), so it picks the largest g that any
+    candidate offers, and the flag is that g being 0.  It is a statement
+    about all normalizations: a matrix that read_params already reads with
+    g = 0 is not a pinwheel when another normalization gives g > 0.
+    """
     a.require_finite("is_pinwheel")
     return canonical_form(a).params.g == 0
 

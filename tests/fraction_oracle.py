@@ -1,8 +1,9 @@
 """The exact-Fraction orbit search for the lower canonical form.
 
 This is the search ``troplane.normalform`` ran before its kernel moved to
-scaled integers, kept here unchanged as the differential oracle for
-``tests/test_canonical_kernel.py``: every step runs on ``Fraction`` entries
+scaled integers, kept here as the differential oracle for
+``tests/test_canonical_kernel.py``, ``tests/test_triangle.py`` and
+``tests/canonical_sweep.py``: every step runs on ``Fraction`` entries
 through ``TropMatrix3`` and ``MonomialMatrix``.
 """
 
@@ -37,9 +38,9 @@ from troplane.normalform import (
 def _optimal_assignment_value(a: TropMatrix3):
     best = None
     for perm in itertools.permutations(range(3)):
-        if any(a.rows[i][perm[i]].is_bottom for i in range(3)):
+        if any(a.values[i][perm[i]] is None for i in range(3)):
             continue
-        s = sum(a.rows[i][perm[i]].value for i in range(3))
+        s = sum(a.values[i][perm[i]] for i in range(3))
         if best is None or s > best:
             best = s
     return best
@@ -53,10 +54,10 @@ def _admissible_pairs(a: TropMatrix3):
         raise DegenerateError("matrix admits no finite assignment")
     for pi in itertools.permutations(range(3)):
         for tau in itertools.permutations(range(3)):
-            diag = [a.rows[pi[j]][tau[j]] for j in range(3)]
-            if any(e.is_bottom for e in diag):
+            diag = [a.values[pi[j]][tau[j]] for j in range(3)]
+            if None in diag:
                 continue
-            if sum(e.value for e in diag) == best:
+            if sum(diag) == best:
                 yield pi, tau
 
 
@@ -67,25 +68,25 @@ def _normalization_for(a: TropMatrix3, pi, tau) -> Normalization:
     on the diagonal.  Writing w = -v this is the difference-constraint system
     w_i - w_j <= b_ii - b_ij, solved by shortest paths and anchored at w_3 = 0.
     """
-    b = [[a.rows[pi[i]][tau[j]] for j in range(3)] for i in range(3)]
+    b = [[a.values[pi[i]][tau[j]] for j in range(3)] for i in range(3)]
     w = [Fraction(0)] * 3
     for _ in range(3):
         for i in range(3):
             for j in range(3):
-                if i == j or b[i][j].is_bottom:
+                if i == j or b[i][j] is None:
                     continue
-                c = b[i][i].value - b[i][j].value
+                c = b[i][i] - b[i][j]
                 if w[j] + c < w[i]:
                     w[i] = w[j] + c
     # sanity: the relaxation must have converged (no negative cycles)
     for i in range(3):
         for j in range(3):
-            if i != j and not b[i][j].is_bottom:
-                if w[i] - w[j] > b[i][i].value - b[i][j].value:
+            if i != j and b[i][j] is not None:
+                if w[i] - w[j] > b[i][i] - b[i][j]:
                     raise InternalInconsistencyError("potential system did not converge")
     shift = w[2]
     w = [x - shift for x in w]
-    u = tuple(w[i] - b[i][i].value for i in range(3))
+    u = tuple(w[i] - b[i][i] for i in range(3))
     v = tuple(-w[j] for j in range(3))
 
     p_mon = MonomialMatrix(tuple(pi), u)
@@ -114,6 +115,11 @@ def normalize(a: TropMatrix3) -> Normalization:
     return _normalization_for(a, pi, tau)
 
 
+def _diag(t1, t2, t3) -> MonomialMatrix:
+    """The diagonal monomial matrix with offsets t1, t2, t3."""
+    return MonomialMatrix((0, 1, 2), tuple(map(Fraction, (t1, t2, t3))))
+
+
 def canonical_idempotent(b: TropMatrix3):
     """Canonical parameters of a normal idempotent matrix.
 
@@ -131,21 +137,21 @@ def canonical_idempotent(b: TropMatrix3):
         relabel = MonomialMatrix(perm, (Fraction(0),) * 3)
         bb = relabel.conjugate(b)
         # center: zero the third column so side lengths can be read off
-        c13, c23 = bb.rows[0][2].value, bb.rows[1][2].value
-        center = MonomialMatrix.diag(-c13, -c23, 0)
+        c13, c23 = bb.values[0][2], bb.values[1][2]
+        center = _diag(-c13, -c23, 0)
         bc = center.conjugate(bb)
 
-        t1 = -bc.rows[2][0].value
-        t2 = -bc.rows[2][1].value
-        t3 = bc.rows[1][0].value - bc.rows[2][0].value
-        t4 = bc.rows[0][1].value - bc.rows[2][1].value
+        t1 = -bc.values[2][0]
+        t2 = -bc.values[2][1]
+        t3 = bc.values[1][0] - bc.values[2][0]
+        t4 = bc.values[0][1] - bc.values[2][1]
         if t4 < t3:
             continue
         d = (t4 - t3) / 3
         dv = (t1 - t4, t2 - t4, t3)
         if any(v < 0 for v in dv):
             continue
-        mono = relabel.inverse() @ center.inverse() @ MonomialMatrix.diag(
+        mono = relabel.inverse() @ center.inverse() @ _diag(
             t3 + 2 * d, t3 + d, 0)
         if monomial_act(mono.inverse(), b, mono) != make_L(d, dv):
             continue
@@ -170,7 +176,7 @@ def _try_candidate(a: TropMatrix3, pi, tau) -> CanonicalResult | None:
     if power(t, 2) != model:
         return None
 
-    resid = [[model.rows[i][j].value - t.rows[i][j].value for j in range(3)]
+    resid = [[model.values[i][j] - t.values[i][j] for j in range(3)]
              for i in range(3)]
     if any(resid[i][j] < 0 for i in range(3) for j in range(3)):
         raise InternalInconsistencyError("negative canonicalization residual")

@@ -1,16 +1,12 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from troplane.arrangement import (
     antenna_cell,
     bounded_complex,
     enumerate_cells,
-    injectivity_set,
     signature_at,
 )
-from troplane.errors import NotNormalError
 from troplane.matrices import TropMatrix3
 from troplane.normalform import make_F, make_L, params
 from troplane.projective import AffinePoint
@@ -68,11 +64,6 @@ def test_bounded_complex_absent_for_segment_soma():
     cell, vertices = bounded_complex(make_L(0, (0, 0, 1)))
     assert cell is None
     assert len(vertices) == 0
-
-
-def test_injectivity_set_requires_normal():
-    with pytest.raises(NotNormalError):
-        injectivity_set(TropMatrix3.of([[0, 1, 3], [0, 3, 4], [0, 0, 0]]))
 
 
 def test_antenna_cell_bounds():

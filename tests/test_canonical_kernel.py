@@ -17,16 +17,19 @@ from troplane.errors import (
     NonFiniteEntryError,
     NotIdempotentError,
 )
-from troplane.matrices import TropMatrix3, power
-from troplane.normalform import (
-    _idempotent,
-    canonical_form,
-    canonical_idempotent,
-    normalize,
-)
+from troplane.matrices import MonomialMatrix, TropMatrix3, power, scale, scaled
+from troplane.normalform import _idempotent, canonical_form, normalize
 from troplane.randgen import rand_matrix
 
 PAIR_COUNTS = (6, 12, 18, 24, 36)
+
+
+def _idempotent_params(b):
+    """The kernel's (d, dv, M) for B, on B's scaled grid, divided back."""
+    s = 3 * scale(b)
+    d, dv, mono = _idempotent(scaled(b, s))
+    return (Fraction(d, s), tuple(Fraction(v, s) for v in dv),
+            MonomialMatrix(mono.perm, tuple(Fraction(x, s) for x in mono.offsets)))
 
 
 def _same_as_oracle(a):
@@ -77,15 +80,14 @@ def test_normalize_and_idempotent_match_oracle():
     rng = random.Random(44)
     for _ in range(60):
         a = rand_matrix(rng)
-        rows = [list(r) for r in a.rows]
+        rows = [list(r) for r in a.values]
         for k in rng.sample(range(9), rng.randint(0, 3)):
             if k // 3 != k % 3:  # keep the diagonal, so rows stay finite
                 rows[k // 3][k % 3] = None
-        b = TropMatrix3.of([[None if e is None else e.value for e in r]
-                            for r in rows])
+        b = TropMatrix3.of(rows)
         assert normalize(b) == oracle.normalize(b)
         square = power(normalize(a).N, 2)
-        assert canonical_idempotent(square) == oracle.canonical_idempotent(square)
+        assert _idempotent_params(square) == oracle.canonical_idempotent(square)
 
 
 def test_side_lengths_off_the_lattice_are_an_internal_error():
@@ -101,18 +103,18 @@ def test_canonical_idempotent_rejects_bad_input_in_order():
     for rows in ([[0, 1, 0], [-1, 0, 0], [-1, -1, 0]],
                  [[0, 1, None], [-1, 0, 0], [-1, -1, 0]]):
         with pytest.raises(NotIdempotentError, match="normal"):
-            canonical_idempotent(TropMatrix3.of(rows))
+            _idempotent_params(TropMatrix3.of(rows))
     # normal, not idempotent: also with a -inf entry
     for rows in ([[0, -1, -5], [-1, 0, -1], [-1, -1, 0]],
                  [[0, -1, None], [-1, 0, -1], [-1, -1, 0]]):
         b = TropMatrix3.of(rows)
         assert power(b, 2) != b
         with pytest.raises(NotIdempotentError, match="not idempotent"):
-            canonical_idempotent(b)
+            _idempotent_params(b)
     # normal and idempotent with a -inf entry
     for rows in ([[0, None, None], [None, 0, None], [None, None, 0]],
                  [[0, -1, None], [-1, 0, None], [-1, -1, 0]]):
         b = TropMatrix3.of(rows)
         assert power(b, 2) == b
         with pytest.raises(NonFiniteEntryError):
-            canonical_idempotent(b)
+            _idempotent_params(b)

@@ -23,15 +23,16 @@ from troplane.mapping import (
     piecewise_report,
     project,
 )
-from troplane.matrices import IDENTITY, P12, MonomialMatrix, TropMatrix3, mul, power
+from troplane.matrices import IDENTITY, MonomialMatrix, TropMatrix3, mul, power
 from troplane.normalform import make_F, make_L, params
 from troplane.projective import point
 from troplane.randgen import rand_matrix, rand_point
-from troplane.scalars import BOTTOM, t_add, t_mul, trop
+from troplane.scalars import t_add, t_mul
 
 L3924 = make_L(3, (9, 2, 4))
 PINWHEEL_F = make_F(params(Fraction(1, 3), (0, 0, 1), (0, 1, 1), 0))
 TWO_ANT_F = make_F(params(0, (0, 6, 1), (0, 1, 0), 4))
+P12 = MonomialMatrix((1, 0, 2), (Fraction(0),) * 3)
 
 
 def test_apply_reference_values():
@@ -148,7 +149,7 @@ def test_composition_law():
 
 # --- Differential test against the scalar semiring -------------------------
 # apply, project and MonomialMatrix.apply work on Fraction | None values; the
-# reference recomputes each from TropScalars with t_add/t_mul.
+# reference recomputes each entry by entry with t_add/t_mul.
 
 def _rand_coord(rng, bottom):
     return None if rng.random() < bottom else Fraction(rng.randint(-6, 6),
@@ -170,23 +171,20 @@ def _rand_grid_matrix(rng, bottom):
             return TropMatrix3.of(grid)
 
 
-def _scalars(p):
-    return tuple(p[i] for i in range(3))
-
-
 def _ref_apply(a, p):
     out = []
     for i in range(3):
-        acc = BOTTOM
+        acc = None
         for k in range(3):
-            acc = t_add(acc, t_mul(a.entry(i, k), p[k]))
+            acc = t_add(acc, t_mul(a.values[i][k], p.values[k]))
         out.append(acc)
     return tuple(out)
 
 
 def _ref_project(a, p):
-    lam = [min(t_mul(p[i], -a.entry(i, j)) for i in range(3)) for j in range(3)]
-    return _ref_apply(a, point(*(x.value for x in lam)))
+    lam = [min(t_mul(p.values[i], -a.values[i][j]) for i in range(3))
+           for j in range(3)]
+    return _ref_apply(a, point(*lam))
 
 
 def test_map_primitives_match_scalar_reference():
@@ -194,9 +192,9 @@ def test_map_primitives_match_scalar_reference():
     for n in range(600):
         bottom = 0.25 if n % 2 else 0.0
         a, p = _rand_grid_matrix(rng, bottom), _rand_point(rng, bottom)
-        assert _scalars(apply(a, p)) == _ref_apply(a, p)
+        assert apply(a, p).values == _ref_apply(a, p)
         if a.all_finite() and p.all_finite():
-            assert _scalars(project(a, p)) == _ref_project(a, p)
+            assert project(a, p).values == _ref_project(a, p)
         else:
             with pytest.raises(NonFiniteEntryError) as info:
                 project(a, p)
@@ -208,6 +206,6 @@ def test_map_primitives_match_scalar_reference():
         rng.shuffle(perm)
         m = MonomialMatrix(tuple(perm),
                            tuple(Fraction(rng.randint(-8, 8), 2) for _ in range(3)))
-        assert _scalars(m.apply(p)) == tuple(
-            t_mul(trop(m.offsets[i]), p[m.perm[i]]) for i in range(3))
+        assert m.apply(p).values == tuple(
+            t_mul(m.offsets[i], p.values[m.perm[i]]) for i in range(3))
         assert m.apply(p) == apply(m.to_matrix(), p)

@@ -7,8 +7,6 @@ from troplane.errors import InvalidMatrixError, NonFiniteEntryError
 from troplane.matrices import (
     CYCLIC,
     IDENTITY,
-    P12,
-    ZERO_MATRIX,
     MonomialMatrix,
     TropMatrix3,
     adjoint_hat,
@@ -33,6 +31,8 @@ L3924 = TropMatrix3.of([
     [-15, 0, -7],
     [-12, -8, 0],
 ])  # make_L(3,(9,2,4)), written out
+ZERO_MATRIX = TropMatrix3.of([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+P12 = MonomialMatrix((1, 0, 2), (Fraction(0),) * 3)
 
 
 def test_mul_identity():
@@ -54,14 +54,14 @@ def test_zero_matrix_collapses():
 
 def test_chart0_subtracts_third_row():
     c = chart0(L3924)
-    assert c.rows[2] == (c.rows[2][0],) * 3
-    assert c.rows[2][0].value == 0
-    assert c.rows[0][0].value == 12
+    assert c.values[2] == (c.values[2][0],) * 3
+    assert c.values[2][0] == 0
+    assert c.values[0][0] == 12
 
 
 def test_det_regularity():
     assert trop_det(IDENTITY).regular
-    assert trop_det(IDENTITY).value.value == 0
+    assert trop_det(IDENTITY).value == 0
     assert not trop_det(ZERO_MATRIX).regular
 
 
@@ -81,7 +81,6 @@ def test_adjoint_breve_star_on_normal():
 
 def test_monomial_round_trip():
     m = MonomialMatrix((2, 0, 1), (Fraction(1), Fraction(-2), Fraction(3)))
-    assert MonomialMatrix.from_matrix(m.to_matrix()) == m
     assert (m @ m.inverse()) == MonomialMatrix.identity()
     assert is_monomial_pattern(m.to_matrix())
     assert not is_monomial_pattern(L3924)
@@ -117,12 +116,12 @@ def test_monomial_act_matches_dense_products():
 
 def _reference_mul(a, b):
     """The product written out over the scalar semiring."""
-    return TropMatrix3(tuple(
-        tuple(t_add(t_add(t_mul(a.entry(i, 0), b.entry(0, j)),
-                          t_mul(a.entry(i, 1), b.entry(1, j))),
-                    t_mul(a.entry(i, 2), b.entry(2, j)))
-              for j in range(3))
-        for i in range(3)))
+    a, b = a.values, b.values
+    return TropMatrix3.of(
+        [t_add(t_add(t_mul(a[i][0], b[0][j]), t_mul(a[i][1], b[1][j])),
+               t_mul(a[i][2], b[2][j]))
+         for j in range(3)]
+        for i in range(3))
 
 
 def test_mul_with_bottoms_matches_scalar_semiring():

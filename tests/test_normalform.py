@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,10 +9,18 @@ from troplane.errors import (
     NotCanonicalError,
     ParameterRangeError,
 )
-from troplane.matrices import IDENTITY, TropMatrix3, is_normal, mul, power
+from troplane.matrices import (
+    IDENTITY,
+    TropMatrix3,
+    grid_act,
+    is_normal,
+    mul,
+    power,
+    scaled,
+)
 from troplane.normalform import (
+    _idempotent,
     canonical_form,
-    canonical_idempotent,
     make_F,
     make_L,
     normalize,
@@ -63,10 +72,12 @@ def test_normalize_is_identity_on_normal_input():
 
 
 def test_canonical_idempotent_params():
+    # the kernel runs on the grid scaled by 3 * scale(n2) = 3
     n2 = TropMatrix3.of([[0, 0, 0], [-1, 0, 0], [-2, -2, 0]])
-    d, dv, mono = canonical_idempotent(n2)
-    assert (d, dv) == (Fraction(1, 3), (0, 0, 1))
-    assert mono.inverse().conjugate(n2) == make_L(d, dv)
+    d, dv, mono = _idempotent(scaled(n2, 3))
+    assert (d, dv) == (1, (0, 0, 3))  # (1/3, (0, 0, 1)) times 3
+    assert grid_act(mono.inverse(), scaled(n2, 3), mono) == scaled(
+        make_L(Fraction(1, 3), (0, 0, 1)), 3)
 
 
 def test_canonical_form_pinwheel_example():
@@ -114,3 +125,16 @@ def test_make_F_rejects_invalid_params():
 def test_square_of_canonical_is_model():
     p = params(0, (0, 6, 1), (0, 1, 0), 4)
     assert power(make_F(p), 2) == make_L(p.d, p.dv)
+
+
+def test_canonical_form_is_idempotent():
+    rng = random.Random(2101)
+    inputs = [rand_matrix(rng) for _ in range(300)]
+    for d, d1, d2, d3, h1, h2, h3, g in itertools.product((0, 1, 2), repeat=8):
+        p = params(d, (d1, d2, d3), (h1, h2, h3), g)
+        if not validate_params(p):
+            inputs.append(make_F(p))
+    assert len(inputs) == 300 + 429
+    for a in inputs:
+        result = canonical_form(a)
+        assert canonical_form(result.F).params == result.params, a

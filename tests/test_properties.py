@@ -3,10 +3,12 @@ test_acceptance.py and via the CLI `verify` subcommand)."""
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from troplane import verify
+from troplane.randgen import rand_fraction
 
 TRIALS = 60
 
@@ -67,6 +69,22 @@ def test_per_trial_keeps_failures_in_trial_order():
     assert suite.__name__ == "check" and suite.__doc__ == check.__doc__
 
 
+def test_semiring_failure_prints_scalar_literals(monkeypatch):
+    # a broken product makes every trial fail; the message must print each
+    # drawn scalar as its literal, -inf included, from the suite's draws
+    monkeypatch.setattr(verify, "t_mul", lambda a, b: Fraction(1))
+    failures = verify.suite_semiring_laws(random.Random("semiring"), 40)
+    by_hand = random.Random("semiring")
+    expected = []
+    for _ in range(40):
+        draws = [None if by_hand.random() < 0.15 else rand_fraction(by_hand)
+                 for _ in range(3)]
+        expected.append("semiring law failed on " + ", ".join(
+            "-inf" if x is None else str(x) for x in draws))
+    assert failures == expected
+    assert any("-inf" in msg for msg in failures)
+
+
 def test_counterexample_suite_reports_failures():
     # mutation self-check: a corrupted canonical matrix must be caught
     rng = random.Random("mutation")
@@ -74,7 +92,7 @@ def test_counterexample_suite_reports_failures():
     from troplane.matrices import power
 
     l = make_L(2, (1, 1, 1))
-    rows = [[e.value for e in row] for row in l.rows]
+    rows = [list(row) for row in l.values]
     rows[0][1] = 1  # corrupt one entry: positive slot breaks idempotency
     from troplane.matrices import TropMatrix3
 

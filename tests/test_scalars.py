@@ -2,48 +2,42 @@ from fractions import Fraction
 
 import pytest
 
-from troplane.errors import BottomArithmeticError, ParseError
+from troplane.errors import ParseError
+from troplane.matrices import TropMatrix3
 from troplane.scalars import (
-    BOTTOM,
-    ZERO,
     TropScalar,
     plane_norm,
     t_add,
     t_mul,
-    trop,
     trop_distance,
 )
 
 
 def test_add_is_max():
-    assert t_add(trop(3), trop(-2)) == trop(3)
-    assert t_add(trop(Fraction(1, 2)), trop(Fraction(2, 3))) == trop(Fraction(2, 3))
-    assert t_add(BOTTOM, trop(5)) == trop(5)
-    assert t_add(BOTTOM, BOTTOM) == BOTTOM
+    assert t_add(Fraction(3), Fraction(-2)) == 3
+    assert t_add(Fraction(1, 2), Fraction(2, 3)) == Fraction(2, 3)
+    assert t_add(None, Fraction(5)) == 5
+    assert t_add(None, None) is None
 
 
 def test_mul_is_plus():
-    assert t_mul(trop(3), trop(-2)) == trop(1)
-    assert t_mul(trop(Fraction(1, 3)), trop(Fraction(1, 6))) == trop(Fraction(1, 2))
-    assert t_mul(BOTTOM, trop(5)) == BOTTOM
-    assert t_mul(trop(7), ZERO) == trop(7)
-
-
-def test_negation_swaps_extremes():
-    assert -trop(Fraction(5, 2)) == trop(Fraction(-5, 2))
-    with pytest.raises(BottomArithmeticError):
-        -BOTTOM
-
-
-def test_ordering():
-    assert BOTTOM < trop(-1000)
-    assert trop(1) < trop(Fraction(3, 2))
-    assert trop(2) <= trop(2)
+    assert t_mul(Fraction(3), Fraction(-2)) == 1
+    assert t_mul(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert t_mul(None, Fraction(5)) is None
+    assert t_mul(Fraction(7), Fraction(0)) == 7
 
 
 def test_parse_round_trip():
     for text in ["-inf", "0", "7", "-3/4", "22/7"]:
         assert str(TropScalar.parse(text)) == text
+
+
+def test_matrix_from_parsed_literals():
+    rows = [["0", "-inf", "1/2"], ["-3", "0", "-inf"], ["7", "-2/3", "0"]]
+    m = TropMatrix3(tuple(tuple(TropScalar.parse(e) for e in r) for r in rows))
+    assert m == TropMatrix3.of([[0, None, "1/2"], [-3, 0, None],
+                                [7, "-2/3", 0]])
+    assert str(m) == "[0 -inf 1/2; -3 0 -inf; 7 -2/3 0]"
 
 
 def test_parse_rejects_garbage():

@@ -1,7 +1,10 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import fraction_oracle as oracle
 from troplane.errors import NonFiniteEntryError, ParameterRangeError
 from troplane.matrices import (
     MonomialMatrix,
@@ -11,8 +14,9 @@ from troplane.matrices import (
     mul,
     power,
 )
-from troplane.normalform import make_F, make_L, params
+from troplane.normalform import canonical_form, make_F, make_L, params, read_params
 from troplane.projective import AffinePoint, chart, point
+from troplane.randgen import rand_matrix
 from troplane.triangle import (
     analyze,
     hrep_idempotent,
@@ -71,6 +75,33 @@ def test_is_pinwheel():
     assert is_pinwheel(PINWHEEL_A)
     assert not is_pinwheel(TWO_ANTENNA)
     assert is_pinwheel(make_L(1, (1, 1, 1)))
+
+
+def test_is_pinwheel_is_universal_over_normalizations():
+    # pinwheel: no admissible normalization gives a canonical candidate
+    # with g > 0, checked against every candidate of the Fraction oracle
+    rng = random.Random(2102)
+    cube = list(itertools.product((-1, 0, 1), repeat=9))
+    rng.shuffle(cube)
+    inputs = [rand_matrix(rng) for _ in range(30)]
+    inputs += [TropMatrix3.of([e[0:3], e[3:6], e[6:9]]) for e in cube[:30]]
+    mixed = 0
+    for a in inputs:
+        gs = {c.params.g for c in (oracle._try_candidate(a, pi, tau)
+                                   for pi, tau in oracle._admissible_pairs(a))
+              if c is not None}
+        assert is_pinwheel(a) == (gs == {0}), a
+        mixed += 0 in gs and len(gs) > 1
+    assert mixed > 0  # some inputs have candidates both with and without g
+
+
+def test_pinwheel_is_not_read_off_one_normalization():
+    f = make_F(params(0, (0, 0, 0), (0, 0, 1), 0))
+    assert f == TropMatrix3.of([[0, 0, -1], [0, 0, 0], [0, 0, 0]])
+    assert read_params(f).g == 0
+    assert canonical_form(f).params == params(0, (0, 0, 0), (0, 0, 0), 1)
+    assert not is_pinwheel(f)
+    assert not analyze(f).pinwheel
 
 
 def test_origin_in_soma():
