@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError, NoSuchAntennaError
-from .matrices import TropMatrix3, scale, scaled
+from .matrices import TropMatrix3, scale, scaled, scaled_values
 from .normalform import CanonicalParams, read_params
 from .projective import AffinePoint
 
@@ -87,7 +87,9 @@ def _tie_masks(grid, x, y) -> tuple[int, int, int]:
 
 def signature_at(a: TropMatrix3, p: AffinePoint) -> CellSignature:
     """Argmax signature of the three row forms at the chart point p."""
-    return CellSignature(*(_SUBSET_OF[m] for m in _tie_masks(a.values, p.x, p.y)))
+    s = scale(a, p.x, p.y)
+    masks = _tie_masks(scaled(a, s), *scaled_values((p.x, p.y), s))
+    return CellSignature(*(_SUBSET_OF[m] for m in masks))
 
 
 def _vertices(entries):

@@ -4,6 +4,10 @@ apply() is the tropical matrix-vector product; project() is the nearest-point
 map onto the span of the columns; piecewise_report() labels every 2-cell of
 the induced arrangement with the map's behavior there, validating each label
 on sampled rational points.
+
+apply() and project() compute on ints: the matrix and the point go to one
+scale s = scale(A, *p.values), as matrices.scaled(A, s) and its column, and
+only the returned coordinates are divided back by s.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from .arrangement import (
     signature_at,
 )
 from .errors import InternalInconsistencyError, NonFiniteEntryError
-from .matrices import TropMatrix3, grid_mul, is_monomial_pattern
+from .matrices import (TropMatrix3, grid_mul, is_monomial_pattern, scale,
+                       scaled, scaled_values)
 from .normalform import make_L, read_params
 from .projective import AffinePoint, ProjPoint, chart, embed
 
@@ -33,19 +38,28 @@ PROJECTION = "parallel-projection"
 
 def apply(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
     """Tropical matrix-vector product."""
-    out = grid_mul(a.values, [[x] for x in p.values])
-    return ProjPoint(tuple(x for (x,) in out))
+    s = scale(a, *p.values)
+    out = grid_mul(scaled(a, s), [[x] for x in scaled_values(p.values, s)])
+    return ProjPoint(tuple(None if x is None else Fraction(x, s)
+                           for (x,) in out))
+
+
+def _projection(a: TropMatrix3, p: ProjPoint):
+    """(project(a, p), p, s) as ints on the common scale s."""
+    a.require_finite("project")
+    if not p.all_finite():
+        raise NonFiniteEntryError("project requires a finite point")
+    s = scale(a, *p.values)
+    v, q = scaled(a, s), scaled_values(p.values, s)
+    # column j scaled by the largest lam_j with a_ij + lam_j <= p_i for all i
+    lam = [[min(q[i] - v[i][j] for i in range(3))] for j in range(3)]
+    return [x for (x,) in grid_mul(v, lam)], q, s
 
 
 def project(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
     """Nearest-point map onto the span of the columns of A."""
-    a.require_finite("project")
-    if not p.all_finite():
-        raise NonFiniteEntryError("project requires a finite point")
-    v, q = a.values, p.values
-    # column j scaled by the largest lam_j with a_ij + lam_j <= p_i for all i
-    lam = [[min(q[i] - v[i][j] for i in range(3))] for j in range(3)]
-    return ProjPoint(tuple(x for (x,) in grid_mul(v, lam)))
+    rho, _, s = _projection(a, p)
+    return ProjPoint(tuple(Fraction(x, s) for x in rho))
 
 
 def is_fixed(a: TropMatrix3, p: ProjPoint) -> bool:

@@ -159,16 +159,23 @@ def assignment_sums(g) -> list:
     return out
 
 
-def scale(a: TropMatrix3) -> int:
-    """The lcm of the denominators of the finite entries of A."""
-    return math.lcm(*(x.denominator for row in a.values for x in row
-                      if x is not None))
+def scale(a: TropMatrix3, *xs) -> int:
+    """The lcm of the denominators of the finite entries of A and of the
+    finite xs (a point's coordinates), so that one scale covers both."""
+    return math.lcm(*[x.denominator for row in (*a.values, xs) for x in row
+                      if x is not None])
+
+
+def scaled_values(xs, s: int) -> list:
+    """The values xs times s, as ints, with None kept; s must be a multiple
+    of their denominators."""
+    return [None if x is None else x.numerator * (s // x.denominator)
+            for x in xs]
 
 
 def scaled(a: TropMatrix3, s: int) -> list[list]:
     """The grid of A times s, as ints; s must be a multiple of scale(A)."""
-    return [[None if x is None else x.numerator * (s // x.denominator)
-             for x in row] for row in a.values]
+    return [scaled_values(row, s) for row in a.values]
 
 
 def mul(a: TropMatrix3, b: TropMatrix3) -> TropMatrix3:

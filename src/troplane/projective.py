@@ -55,17 +55,23 @@ class ProjPoint:
         return tuple(None if x is None else x - m for x in self.values)
 
     def __eq__(self, other) -> bool:
+        """Same -inf pattern, and one shift x_i - y_i on the finite pairs;
+        the same as equal canonical() triples, without building them."""
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        shift = None
+        for x, y in zip(self.values, other.values):
+            if x is None or y is None:
+                if x is not y:
+                    return False
+            elif shift is None:
+                shift = x - y
+            elif x - y != shift:
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(self.canonical())
-
-    def __neg__(self) -> "ProjPoint":
-        if not self.all_finite():
-            raise BoundaryPointError("cannot negate a point with a -inf coordinate")
-        return ProjPoint(tuple(-x for x in self.values))
 
     def all_finite(self) -> bool:
         return None not in self.values
@@ -109,7 +115,7 @@ def cross(p: ProjPoint, q: ProjPoint) -> ProjPoint:
 
     Gives the stable intersection of the lines with coefficients p and q;
     dually, the stable join of the points p and q is the line with these
-    coefficients, and -cross(p, q) is its vertex.
+    coefficients, and its vertex is the coordinatewise negation of cross(p, q).
     """
     out = [t_add(t_mul(p.values[i], q.values[j]), t_mul(q.values[i], p.values[j]))
            for i, j in ((1, 2), (0, 2), (0, 1))]

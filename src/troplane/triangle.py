@@ -157,10 +157,16 @@ def is_pinwheel(a: TropMatrix3) -> bool:
 
 
 def member(p: ProjPoint, a: TropMatrix3) -> bool:
-    """Whether p lies in the tropical span of the columns of A."""
-    from .mapping import project
+    """Whether p lies in the tropical span of the columns of A.
 
-    return project(a, p) == p
+    That is project(A, p) == p.  The projection is <= p in every coordinate
+    and equal in one (each lam_j is attained), so projective equality is
+    plain equality here, checked on the integer scale without building it.
+    """
+    from .mapping import _projection
+
+    rho, q, _ = _projection(a, p)
+    return rho == q
 
 
 def origin_in_soma(a: TropMatrix3) -> bool:
