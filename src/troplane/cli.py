@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 property failure, 2 input error, 3 precondition
 violation (printed as a machine-readable JSON reason).  Usage errors, such as
-an unknown flag or a non-integer --trials, are input errors too.
+an unknown flag or a non-integer --trials, are input errors too, and so is a
+--trials outside 1..MAX_TRIALS.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
+
+MAX_TRIALS = 100_000  # verify's run time grows linearly in --trials
 
 
 def parse_matrix(text: str) -> TropMatrix3:
@@ -170,6 +173,8 @@ def _verify_seed(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ParseError("trials must be >= 1")
+    if args.trials > MAX_TRIALS:
+        raise ParseError(f"trials must be <= {MAX_TRIALS}")
     results = verify.run_all(_verify_seed(args), args.trials)
     failed = []
     for name, trials, failures in results:

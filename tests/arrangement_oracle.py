@@ -7,7 +7,8 @@ feasibility test, in ``product(_SUBSETS)`` order.  The difference-bound
 machinery below is the library's former code, kept unchanged so that the
 oracle decides every cell without the library's help.
 ``first_difference`` is the comparison ``tests/test_arrangement_oracle.py``
-and ``tests/arrangement_sweep.py`` both use.
+runs on seeded samples and ``tests/grid_sweep.py`` on every valid matrix in
+{-1, 0, 1}^9 and {-inf, 0, 1}^9.
 """
 
 from __future__ import annotations

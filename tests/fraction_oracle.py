@@ -2,9 +2,11 @@
 
 This is the search ``troplane.normalform`` ran before its kernel moved to
 scaled integers, kept here as the differential oracle for
-``tests/test_canonical_kernel.py``, ``tests/test_triangle.py`` and
-``tests/canonical_sweep.py``: every step runs on ``Fraction`` entries
-through ``TropMatrix3`` and ``MonomialMatrix``.
+``tests/test_canonical_kernel.py`` and ``tests/test_triangle.py``: every
+step runs on ``Fraction`` entries through ``TropMatrix3`` and
+``MonomialMatrix``.  ``first_difference`` is the check
+``tests/test_canonical_kernel.py`` runs on seeded samples and
+``tests/grid_sweep.py`` on every matrix in {-1, 0, 1}^9.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from troplane import normalform
 from troplane.errors import (
     DegenerateError,
     InternalInconsistencyError,
@@ -23,6 +26,7 @@ from troplane.matrices import (
     TropMatrix3,
     is_normal,
     monomial_act,
+    mul,
     power,
 )
 from troplane.normalform import (
@@ -241,3 +245,34 @@ def canonical_form(a: TropMatrix3) -> CanonicalResult:
     if best is None:
         raise InternalInconsistencyError("no admissible normalization canonicalizes")
     return best[1]
+
+
+LEFT = MonomialMatrix((1, 2, 0), (Fraction(1), Fraction(-2), Fraction(1, 2)))
+RIGHT = MonomialMatrix((2, 1, 0), (Fraction(-1, 3), Fraction(3), Fraction(0)))
+
+
+def first_difference(a: TropMatrix3) -> str | None:
+    """The name of the first check that fails on A, or None.
+
+    - ``normalform.canonical_form(A)`` equals this module's
+      ``canonical_form(A)`` on the params, P, Q and F;
+    - F = P (.) A (.) Q, formed with dense products, and F (.) F = L(d, dv);
+    - canonicalization is idempotent: canonical_form(F) has the same params;
+    - the params are unchanged under one fixed monomial change of
+      coordinates on each side (LEFT and RIGHT).
+    """
+    got, want = normalform.canonical_form(a), canonical_form(a)
+    for field in ("params", "P", "Q", "F"):
+        if getattr(got, field) != getattr(want, field):
+            return f"{field} differs from the oracle"
+    if mul(mul(got.P.to_matrix(), a), got.Q.to_matrix()) != got.F:
+        return "F != P (.) A (.) Q"
+    p = got.params
+    if power(got.F, 2) != make_L(p.d, p.dv):
+        return "F (.) F != L(d, dv)"
+    if normalform.canonical_form(got.F).params != p:
+        return "params of canonical_form(F)"
+    moved = mul(mul(LEFT.to_matrix(), a), RIGHT.to_matrix())
+    if normalform.canonical_form(moved).params != p:
+        return "params after a monomial change of coordinates"
+    return None

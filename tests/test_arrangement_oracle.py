@@ -4,8 +4,8 @@
 difference-bound solver.  Both must return the same cells, in the same order,
 with the same dimensions, boundedness, recession directions and 0-cell
 points, and every witness must lie in its cell (``first_difference``).
-``tests/arrangement_sweep.py`` runs the same comparison on every matrix in
-{-1, 0, 1}^9.
+``tests/grid_sweep.py`` runs the same comparison on every valid matrix in
+{-1, 0, 1}^9 and {-inf, 0, 1}^9.
 """
 
 import importlib

@@ -9,6 +9,7 @@ from troplane.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_PRECONDITION,
+    MAX_TRIALS,
     main,
     parse_matrix,
 )
@@ -177,6 +178,18 @@ def test_verify_rejects_bad_trials(capsys):
     assert _input_error(capsys) == "trials must be >= 1"
     assert main(["verify", "--trials", "abc"]) == EXIT_INPUT_ERROR
     assert "--trials" in _input_error(capsys)
+
+
+def test_verify_bounds_trials_before_running(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(verify, "run_all",
+                        lambda seed, trials: calls.append(trials) or [])
+    for trials in (MAX_TRIALS + 1, 10**20):
+        assert main(["verify", "--trials", str(trials)]) == EXIT_INPUT_ERROR
+        assert _input_error(capsys) == "trials must be <= 100000"
+    assert calls == []
+    assert main(["verify", "--trials", str(MAX_TRIALS)]) == EXIT_OK
+    assert calls == [MAX_TRIALS]
 
 
 @pytest.mark.parametrize("argv", [
