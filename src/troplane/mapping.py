@@ -22,11 +22,12 @@ from .arrangement import (
     enumerate_cells,
     signature_at,
 )
-from .errors import InternalInconsistencyError, NonFiniteEntryError
+from .errors import InternalInconsistencyError
 from .matrices import (TropMatrix3, grid_mul, is_monomial_pattern, scale,
                        scaled, scaled_values)
 from .normalform import make_L, read_params
 from .projective import AffinePoint, ProjPoint, chart, embed
+from .triangle import Antenna, _projection, antenna_slots, member
 
 BIJECTIVE = "bijective-monomial"
 NON_BIJECTIVE = "non-injective-non-surjective"
@@ -42,18 +43,6 @@ def apply(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
     out = grid_mul(scaled(a, s), [[x] for x in scaled_values(p.values, s)])
     return ProjPoint(tuple(None if x is None else Fraction(x, s)
                            for (x,) in out))
-
-
-def _projection(a: TropMatrix3, p: ProjPoint):
-    """(project(a, p), p, s) as ints on the common scale s."""
-    a.require_finite("project")
-    if not p.all_finite():
-        raise NonFiniteEntryError("project requires a finite point")
-    s = scale(a, *p.values)
-    v, q = scaled(a, s), scaled_values(p.values, s)
-    # column j scaled by the largest lam_j with a_ij + lam_j <= p_i for all i
-    lam = [[min(q[i] - v[i][j] for i in range(3))] for j in range(3)]
-    return [x for (x,) in grid_mul(v, lam)], q, s
 
 
 def project(a: TropMatrix3, p: ProjPoint) -> ProjPoint:
@@ -137,8 +126,6 @@ def _on_segment(q: AffinePoint, base: AffinePoint, tip: AffinePoint) -> bool:
 
 def piecewise_report(f: TropMatrix3) -> PiecewiseReport:
     """Behavior of the map of a canonical-form matrix on every 2-cell."""
-    from .triangle import Antenna, antenna_slots, member
-
     f.require_finite("piecewise_report")
     p = read_params(f)
     arr = enumerate_cells(f)

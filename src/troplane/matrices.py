@@ -18,7 +18,7 @@ from .errors import (
     NonFiniteEntryError,
     NotNormalError,
 )
-from .projective import ProjPoint
+from .projective import ProjPoint, cross
 from .scalars import TropScalar, as_fraction, format_value, t_add, t_mul
 
 
@@ -223,8 +223,6 @@ def trop_det(a: TropMatrix3) -> DetResult:
 
 def adjoint_hat(a: TropMatrix3) -> TropMatrix3:
     """Tropical adjoint: row j is the cross product of columns j-1 and j+1 (mod 3)."""
-    from .projective import cross
-
     return TropMatrix3.of(cross(a.column((j - 1) % 3), a.column((j + 1) % 3)).values
                           for j in range(3))
 

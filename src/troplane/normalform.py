@@ -41,7 +41,6 @@ from .matrices import (
     grid_act,
     grid_is_normal,
     grid_mul,
-    is_normal,
     scale,
     scaled,
 )
@@ -367,12 +366,11 @@ def _normalization_for(a: TropMatrix3, pi, tau) -> Normalization:
 def normalize(a: TropMatrix3) -> Normalization:
     """Hungarian normalization N = P (.) A (.) Q with N normal.
 
-    Deterministic: an already-normal matrix returns (A, I, I); otherwise the
-    lexicographically smallest admissible permutation pair is used with
-    zero-anchored potentials.
+    Deterministic: the lexicographically smallest admissible permutation pair
+    is used with zero-anchored potentials.  On an already-normal matrix that
+    pair is (identity, identity) and the potentials are zero, so the result
+    is (A, I, I).
     """
-    if is_normal(a):
-        return Normalization(a, MonomialMatrix.identity(), MonomialMatrix.identity())
     return _normalization_for(a, *_admissible_pairs(a)[0])
 
 

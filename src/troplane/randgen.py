@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .arrangement import enumerate_cells
 from .matrices import MonomialMatrix, TropMatrix3
 from .normalform import CanonicalParams
 from .projective import ProjPoint, point
@@ -82,8 +83,6 @@ def rand_params(rng: random.Random) -> CanonicalParams:
 
 def rand_generic_matrix(rng: random.Random) -> TropMatrix3:
     """Matrix whose line arrangement is generic (six distinct vertices)."""
-    from .arrangement import enumerate_cells
-
     while True:
         m = TropMatrix3.of([[Fraction(rng.randint(-99991, 99991),
                                       rng.choice((1, 2, 3, 5, 7)))

@@ -11,8 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistencyError, ParameterRangeError
-from .matrices import MonomialMatrix, TropMatrix3, power
+from .errors import (
+    InternalInconsistencyError,
+    NonFiniteEntryError,
+    ParameterRangeError,
+)
+from .matrices import (
+    MonomialMatrix,
+    TropMatrix3,
+    grid_mul,
+    power,
+    scale,
+    scaled,
+    scaled_values,
+)
 from .normalform import (
     CanonicalParams,
     CanonicalResult,
@@ -156,6 +168,19 @@ def is_pinwheel(a: TropMatrix3) -> bool:
     return canonical_form(a).params.g == 0
 
 
+def _projection(a: TropMatrix3, p: ProjPoint):
+    """(project(a, p), p, s) as ints on the common scale s; mapping.project
+    and member share it."""
+    a.require_finite("project")
+    if not p.all_finite():
+        raise NonFiniteEntryError("project requires a finite point")
+    s = scale(a, *p.values)
+    v, q = scaled(a, s), scaled_values(p.values, s)
+    # column j scaled by the largest lam_j with a_ij + lam_j <= p_i for all i
+    lam = [[min(q[i] - v[i][j] for i in range(3))] for j in range(3)]
+    return [x for (x,) in grid_mul(v, lam)], q, s
+
+
 def member(p: ProjPoint, a: TropMatrix3) -> bool:
     """Whether p lies in the tropical span of the columns of A.
 
@@ -163,8 +188,6 @@ def member(p: ProjPoint, a: TropMatrix3) -> bool:
     and equal in one (each lam_j is attained), so projective equality is
     plain equality here, checked on the integer scale without building it.
     """
-    from .mapping import _projection
-
     rho, q, _ = _projection(a, p)
     return rho == q
 

@@ -13,11 +13,11 @@ import itertools
 import pkgutil
 import random
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 import arrangement_oracle as oracle
+import scalar_reference as ref
 import troplane
 from troplane import arrangement
 from troplane.arrangement import Arrangement, enumerate_cells
@@ -30,11 +30,6 @@ def _same_as_oracle(a):
     field = oracle.first_difference(a, enumerate_cells(a),
                                     oracle.enumerate_cells(a))
     assert field is None, (field, a.values)
-
-
-def _large(rng):
-    return Fraction(rng.choice((-1, 1)) * rng.randint(10**5, 10**12),
-                    rng.choice((1, 2, 3, 5, 7, 9, 11)))
 
 
 def test_generic_matrices_match_oracle():
@@ -53,7 +48,7 @@ def test_large_numerators_match_oracle():
     rng = random.Random(53)
     for _ in range(30):
         _same_as_oracle(TropMatrix3.of(
-            [[_large(rng) for _ in range(3)] for _ in range(3)]))
+            [[ref.large(rng) for _ in range(3)] for _ in range(3)]))
 
 
 @pytest.mark.parametrize("k", range(7))

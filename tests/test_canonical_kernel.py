@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_oracle as oracle
+import scalar_reference as ref
 from troplane.errors import (
     InternalInconsistencyError,
     NonFiniteEntryError,
@@ -41,11 +42,6 @@ def _same_as_oracle(a):
     assert field is None, (field, a.values)
 
 
-def _large(rng):
-    return Fraction(rng.choice((-1, 1)) * rng.randint(10**5, 10**12),
-                    rng.choice((1, 2, 3, 5, 7, 9, 11)))
-
-
 def test_generic_matrices_match_oracle():
     rng = random.Random(41)
     for _ in range(150):
@@ -56,7 +52,7 @@ def test_large_numerators_match_oracle():
     rng = random.Random(42)
     for _ in range(40):
         _same_as_oracle(TropMatrix3.of(
-            [[_large(rng) for _ in range(3)] for _ in range(3)]))
+            [[ref.large(rng) for _ in range(3)] for _ in range(3)]))
 
 
 def test_tie_matrices_match_oracle_at_every_pair_count():

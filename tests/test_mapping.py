@@ -1,3 +1,10 @@
+"""The map of a matrix: pinned apply and project values, their laws, and
+piecewise_report.
+
+apply and project are checked against the scalar references, value for value
+and error for error, in test_map_kernels.py.
+"""
+
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -23,11 +30,10 @@ from troplane.mapping import (
     piecewise_report,
     project,
 )
-from troplane.matrices import IDENTITY, MonomialMatrix, TropMatrix3, mul, power
+from troplane.matrices import IDENTITY, MonomialMatrix, TropMatrix3, power
 from troplane.normalform import make_F, make_L, params
 from troplane.projective import point
 from troplane.randgen import rand_matrix, rand_point
-from troplane.scalars import t_add, t_mul
 
 L3924 = make_L(3, (9, 2, 4))
 PINWHEEL_F = make_F(params(Fraction(1, 3), (0, 0, 1), (0, 1, 1), 0))
@@ -146,66 +152,3 @@ def test_composition_law():
         a, p = rand_matrix(rng), rand_point(rng)
         assert apply(a, apply(a, p)) == apply(power(a, 2), p)
 
-
-# --- Differential test against the scalar semiring -------------------------
-# apply, project and MonomialMatrix.apply work on Fraction | None values; the
-# reference recomputes each entry by entry with t_add/t_mul.
-
-def _rand_coord(rng, bottom):
-    return None if rng.random() < bottom else Fraction(rng.randint(-6, 6),
-                                                       rng.choice((1, 2, 3)))
-
-
-def _rand_point(rng, bottom):
-    while True:
-        coords = [_rand_coord(rng, bottom) for _ in range(3)]
-        if coords != [None] * 3:
-            return point(*coords)
-
-
-def _rand_grid_matrix(rng, bottom):
-    while True:
-        grid = [[_rand_coord(rng, bottom) for _ in range(3)] for _ in range(3)]
-        if all(any(x is not None for x in r) for r in grid) and all(
-                any(r[j] is not None for r in grid) for j in range(3)):
-            return TropMatrix3.of(grid)
-
-
-def _ref_apply(a, p):
-    out = []
-    for i in range(3):
-        acc = None
-        for k in range(3):
-            acc = t_add(acc, t_mul(a.values[i][k], p.values[k]))
-        out.append(acc)
-    return tuple(out)
-
-
-def _ref_project(a, p):
-    lam = [min(t_mul(p.values[i], -a.values[i][j]) for i in range(3))
-           for j in range(3)]
-    return _ref_apply(a, point(*lam))
-
-
-def test_map_primitives_match_scalar_reference():
-    rng = random.Random(707)
-    for n in range(600):
-        bottom = 0.25 if n % 2 else 0.0
-        a, p = _rand_grid_matrix(rng, bottom), _rand_point(rng, bottom)
-        assert apply(a, p).values == _ref_apply(a, p)
-        if a.all_finite() and p.all_finite():
-            assert project(a, p).values == _ref_project(a, p)
-        else:
-            with pytest.raises(NonFiniteEntryError) as info:
-                project(a, p)
-            assert str(info.value) == (
-                "project requires a finite point" if a.all_finite()
-                else "project requires all nine entries finite")
-
-        perm = list(range(3))
-        rng.shuffle(perm)
-        m = MonomialMatrix(tuple(perm),
-                           tuple(Fraction(rng.randint(-8, 8), 2) for _ in range(3)))
-        assert m.apply(p).values == tuple(
-            t_mul(m.offsets[i], p.values[m.perm[i]]) for i in range(3))
-        assert m.apply(p) == apply(m.to_matrix(), p)

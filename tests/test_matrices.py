@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import scalar_reference as ref
 from troplane.errors import InvalidMatrixError, NonFiniteEntryError
 from troplane.matrices import (
-    CYCLIC,
     IDENTITY,
     MonomialMatrix,
     TropMatrix3,
@@ -23,8 +23,8 @@ from troplane.matrices import (
     trop_det,
 )
 from troplane.projective import point
-from troplane.randgen import rand_fraction, rand_monomial
-from troplane.scalars import t_add, t_mul
+from troplane.randgen import rand_monomial
+from troplane.scalars import t_mul
 
 L3924 = TropMatrix3.of([
     [0, -5, -10],
@@ -73,7 +73,7 @@ def test_normality():
 
 def test_adjoint_breve_star_on_normal():
     a = TropMatrix3.of([[0, -1, -2], [0, 0, -3], [-1, 0, 0]])
-    sq = power(a, 2)
+    sq = TropMatrix3.of(ref.mul(a.values, a.values))
     assert adjoint_hat(a) == sq
     assert a.entrywise_max(breve(a)) == sq
     assert kleene_star(a) == sq
@@ -89,49 +89,36 @@ def test_monomial_round_trip():
 def test_monomial_apply_matches_matrix_action():
     p = point(3, -1, 0)
     assert P12.apply(p) == point(-1, 3, 0)
-    assert CYCLIC.apply(p) == mul(CYCLIC.to_matrix(),
-                                  TropMatrix3.from_columns(p, p, p)).column(0)
-
-
-def _rand_matrix_with_bottoms(rng):
-    """Valid matrix whose entries are -inf with probability 1/3."""
-    while True:
-        try:
-            return TropMatrix3.of([[None if rng.random() < 1 / 3
-                                    else rand_fraction(rng)
-                                    for _ in range(3)] for _ in range(3)])
-        except InvalidMatrixError:
-            continue
+    rng = random.Random(707)
+    for n in range(600):
+        p = ref.point(rng, 0.25 if n % 2 else 0.0)
+        m = rand_monomial(rng)
+        got = m.apply(p).values
+        assert got == tuple(t_mul(m.offsets[i], p.values[m.perm[i]])
+                            for i in range(3))
+        assert got == ref.apply(m.to_matrix().values, p.values)
 
 
 def test_monomial_act_matches_dense_products():
     rng = random.Random(11)
     for _ in range(300):
-        a = _rand_matrix_with_bottoms(rng)
+        a = ref.matrix(rng, 1 / 3)
         p, q = rand_monomial(rng), rand_monomial(rng)
-        assert monomial_act(p, a, q) == mul(mul(p.to_matrix(), a), q.to_matrix())
-        assert p.conjugate(a) == mul(mul(p.to_matrix(), a),
-                                     p.inverse().to_matrix())
-
-
-def _reference_mul(a, b):
-    """The product written out over the scalar semiring."""
-    a, b = a.values, b.values
-    return TropMatrix3.of(
-        [t_add(t_add(t_mul(a[i][0], b[0][j]), t_mul(a[i][1], b[1][j])),
-               t_mul(a[i][2], b[2][j]))
-         for j in range(3)]
-        for i in range(3))
+        dense_p, dense_q = p.to_matrix().values, q.to_matrix().values
+        assert monomial_act(p, a, q).values == ref.mul(
+            ref.mul(dense_p, a.values), dense_q)
+        assert p.conjugate(a).values == ref.mul(
+            ref.mul(dense_p, a.values), p.inverse().to_matrix().values)
 
 
 def test_mul_with_bottoms_matches_scalar_semiring():
     rng = random.Random(12)
     bottoms = 0
     for _ in range(300):
-        a, b = _rand_matrix_with_bottoms(rng), _rand_matrix_with_bottoms(rng)
-        got = mul(a, b)
-        assert got == _reference_mul(a, b), (a, b)
-        bottoms += sum(x is None for row in got.values for x in row)
+        a, b = ref.matrix(rng, 1 / 3), ref.matrix(rng, 1 / 3)
+        got = mul(a, b).values
+        assert got == ref.mul(a.values, b.values), (a, b)
+        bottoms += sum(x is None for row in got for x in row)
     assert bottoms > 0  # some products keep a -inf entry
 
 

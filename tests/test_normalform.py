@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from troplane.errors import (
-    ConstraintViolationError,
     NotCanonicalError,
     ParameterRangeError,
 )
@@ -28,7 +27,7 @@ from troplane.normalform import (
     read_params,
     validate_params,
 )
-from troplane.randgen import rand_matrix, rand_monomial
+from troplane.randgen import rand_matrix, rand_monomial, rand_normal
 
 PINWHEEL_A = TropMatrix3.of([[0, 1, 3], [0, 3, 4], [0, 0, 0]])
 TWO_ANTENNA = TropMatrix3.of([[0, -5, 0], [-7, 0, 0], [-6, -1, 0]])
@@ -69,6 +68,16 @@ def test_normalize_is_identity_on_normal_input():
     assert n.N == l
     assert n.P.to_matrix() == IDENTITY
     assert n.Q.to_matrix() == IDENTITY
+    # seeded normal inputs: off the diagonal -inf, the ties 0 and -1, or a
+    # rand_normal draw, each with probability 1/4
+    rng = random.Random(44)
+    for _ in range(300):
+        grid = [list(row) for row in rand_normal(rng).values]
+        for i, j in itertools.permutations(range(3), 2):
+            grid[i][j] = rng.choice((None, 0, -1, grid[i][j]))
+        a = TropMatrix3.of(grid)
+        n = normalize(a)
+        assert (n.N, n.P.to_matrix(), n.Q.to_matrix()) == (a, IDENTITY, IDENTITY)
 
 
 def test_canonical_idempotent_params():

@@ -1,8 +1,17 @@
+"""Points and lines of the tropical projective plane.
+
+Pinned values for equality, chart, cross and collinearity, and a seeded
+differential test of cross, on_line, chart and str, with -inf coordinates,
+against ``scalar_reference``.  Point equality is checked against its
+reference once, in test_map_kernels.py.
+"""
+
 import random
 from fractions import Fraction
 
 import pytest
 
+import scalar_reference as ref
 from troplane.errors import BoundaryPointError, DegenerateError
 from troplane.projective import (
     AffinePoint,
@@ -14,7 +23,7 @@ from troplane.projective import (
     on_line,
     point,
 )
-from troplane.scalars import format_value, t_add, t_mul
+from troplane.scalars import format_value, t_mul
 
 
 def test_projective_equality_mod_scaling():
@@ -64,39 +73,11 @@ def test_point_with_all_bottom_rejected():
         point(None, None, None)
 
 
-# --- Differential test against the scalar semiring -------------------------
-# The point primitives work on Fraction | None triples; the reference below
-# recomputes each from the scalars with t_add/t_mul.  Coordinates are -inf
-# with probability 1/4, so every -inf branch is reached.
-
-def _rand_coord(rng):
-    return None if rng.random() < 0.25 else Fraction(rng.randint(-6, 6),
-                                                     rng.choice((1, 2, 3)))
-
-
-def _rand_point(rng):
-    while True:
-        coords = [_rand_coord(rng) for _ in range(3)]
-        if coords != [None] * 3:
-            return point(*coords)
-
-
-def _ref_canonical(s):
-    top = max(x for x in s if x is not None)
-    return tuple(t_mul(x, -top) for x in s)
-
-
-def _ref_cross(p, q):
-    p, q = p.values, q.values
-    return tuple(t_add(t_mul(p[i], q[j]), t_mul(q[i], p[j]))
-                 for i, j in ((1, 2), (0, 2), (0, 1)))
-
-
-def _ref_on_line(q, line):
-    terms = [t_mul(c, x) for c, x in zip(line.coeffs.values, q.values)]
-    top = t_add(t_add(terms[0], terms[1]), terms[2])
-    return sum(1 for t in terms if t == top) >= 2
-
+# --- Differential test against the scalar references -----------------------
+# cross, on_line, chart and str work on Fraction | None triples; cross and
+# on_line are compared with ``scalar_reference``, chart with t_mul.  Equality
+# is checked in test_map_kernels.py.  Coordinates are -inf with probability
+# 1/4, so every -inf branch is reached.
 
 def _raises(exc_type, message, call, *args):
     with pytest.raises(exc_type) as info:
@@ -107,18 +88,18 @@ def _raises(exc_type, message, call, *args):
 def test_point_primitives_match_scalar_reference():
     rng = random.Random(606)
     for _ in range(600):
-        p, q = _rand_point(rng), _rand_point(rng)
+        p, q = ref.point(rng, 0.25), ref.point(rng, 0.25)
         assert str(p) == "[" + ", ".join(map(format_value, p.values)) + "]"
 
-        ref = _ref_cross(p, q)
-        if all(c is None for c in ref):
+        expected = ref.cross(p.values, q.values)
+        if all(c is None for c in expected):
             _raises(DegenerateError, "cross product has no finite coordinate",
                     cross, p, q)
         else:
             line = TropLine(cross(p, q))
-            assert line.coeffs.values == ref
-            assert on_line(q, line) == _ref_on_line(q, line)
-        assert on_line(q, TropLine(p)) == _ref_on_line(q, TropLine(p))
+            assert line.coeffs.values == expected
+            assert on_line(q, line) == ref.on_line(q.values, expected)
+        assert on_line(q, TropLine(p)) == ref.on_line(q.values, p.values)
 
         x, y, z = p.values
         if z is None:
@@ -129,12 +110,5 @@ def test_point_primitives_match_scalar_reference():
                     "chart image would need a -inf coordinate", chart, p)
         else:
             assert chart(p) == AffinePoint(t_mul(x, -z), t_mul(y, -z))
-
-        shift = Fraction(rng.randint(-9, 9), 2)
-        for r in (q, point(*(t_mul(c, shift) for c in p.values))):
-            same = _ref_canonical(p.values) == _ref_canonical(r.values)
-            assert (p == r) == same
-            if same:
-                assert hash(p) == hash(r)
     _raises(DegenerateError, "projective point needs a finite coordinate",
             point, None, None, None)

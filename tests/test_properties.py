@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from troplane import verify
+from troplane.matrices import TropMatrix3
+from troplane.normalform import make_L
 from troplane.randgen import rand_fraction
 
 TRIALS = 60
@@ -85,16 +87,13 @@ def test_semiring_failure_prints_scalar_literals(monkeypatch):
     assert any("-inf" in msg for msg in failures)
 
 
-def test_counterexample_suite_reports_failures():
-    # mutation self-check: a corrupted canonical matrix must be caught
-    rng = random.Random("mutation")
-    from troplane.normalform import make_L
-    from troplane.matrices import power
-
-    l = make_L(2, (1, 1, 1))
-    rows = [list(row) for row in l.values]
+def test_counterexample_suite_reports_failures(monkeypatch):
+    # mutation self-check: with make_L returning a corrupted canonical
+    # matrix, every trial of the suites that compare with it must fail
+    rows = [list(row) for row in make_L(2, (1, 1, 1)).values]
     rows[0][1] = 1  # corrupt one entry: positive slot breaks idempotency
-    from troplane.matrices import TropMatrix3
-
     corrupted = TropMatrix3.of(rows)
-    assert power(corrupted, 2) != corrupted
+    monkeypatch.setattr(verify, "make_L", lambda d, dv: corrupted)
+    for suite in (verify.suite_sqrt_law, verify.suite_idempotency_criterion):
+        failures = suite(random.Random("mutation"), TRIALS)
+        assert len(failures) == TRIALS, suite.__name__
