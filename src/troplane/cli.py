@@ -13,14 +13,16 @@ import json
 import os
 import sys
 
-from . import mapping, verify
+from . import mapping
 from .arrangement import enumerate_cells
 from .errors import InvalidMatrixError, ParseError, TroplaneError
 from .matrices import TropMatrix3
 from .projective import chart
 from .scalars import MAX_REASON_CHARS, as_fraction, format_value, parse_value
-from .svgfig import DEFAULT_VIEWPORT, Viewport, render_figure
 from .triangle import analyze
+
+# svgfig and verify are imported inside the functions of their commands, so
+# that the other commands start without loading them (cold start).
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -136,7 +138,8 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse_viewport(text: str) -> Viewport:
+def _parse_viewport(text: str):
+    from .svgfig import Viewport
     parts = text.split(",")
     if len(parts) != 4:
         raise ParseError('viewport must be "xmin,xmax,ymin,ymax"')
@@ -154,6 +157,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from .svgfig import DEFAULT_VIEWPORT, render_figure
     a = parse_matrix(_read_input(args))
     vp = _parse_viewport(args.viewport) if args.viewport else DEFAULT_VIEWPORT
     _write_output(args, render_figure(a, vp))
@@ -175,7 +179,8 @@ def cmd_verify(args) -> int:
         raise ParseError("trials must be >= 1")
     if args.trials > MAX_TRIALS:
         raise ParseError(f"trials must be <= {MAX_TRIALS}")
-    results = verify.run_all(_verify_seed(args), args.trials)
+    from .verify import run_all
+    results = run_all(_verify_seed(args), args.trials)
     failed = []
     for name, trials, failures in results:
         status = "pass" if not failures else f"FAIL ({len(failures)})"

@@ -12,7 +12,6 @@ only the returned coordinates are divided back by s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import (
@@ -27,6 +26,7 @@ from .matrices import (TropMatrix3, grid_mul, is_monomial_pattern, scale,
                        scaled, scaled_values)
 from .normalform import make_L, read_params
 from .projective import AffinePoint, ProjPoint, chart, embed
+from .record import Record, setfield
 from .triangle import Antenna, _projection, antenna_slots, member
 
 BIJECTIVE = "bijective-monomial"
@@ -60,19 +60,25 @@ def classify(a: TropMatrix3) -> str:
     return BIJECTIVE if is_monomial_pattern(a) else NON_BIJECTIVE
 
 
-@dataclass(frozen=True, slots=True)
-class CellBehavior:
-    cell: Cell
-    behavior: str
-    target: AffinePoint | None  # image of the witness, for non-identity cells
-    directions: tuple[tuple[int, int], ...]  # validated projection directions
-    samples: tuple[AffinePoint, ...]
+class CellBehavior(Record):
+    __slots__ = ("cell", "behavior", "target", "directions", "samples")
+
+    def __init__(self, cell: Cell, behavior: str, target: AffinePoint | None,
+                 directions: tuple[tuple[int, int], ...],
+                 samples: tuple[AffinePoint, ...]):
+        setfield(self, "cell", cell)
+        setfield(self, "behavior", behavior)
+        setfield(self, "target", target)  # image of the witness, if moved
+        setfield(self, "directions", directions)  # validated projections
+        setfield(self, "samples", samples)
 
 
-@dataclass(frozen=True, slots=True)
-class PiecewiseReport:
-    matrix: TropMatrix3
-    entries: tuple[CellBehavior, ...]
+class PiecewiseReport(Record):
+    __slots__ = ("matrix", "entries")
+
+    def __init__(self, matrix: TropMatrix3, entries: tuple[CellBehavior, ...]):
+        setfield(self, "matrix", matrix)
+        setfield(self, "entries", entries)
 
 
 _SAMPLES = 3  # points drawn around the witness of each 2-cell

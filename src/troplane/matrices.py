@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     NotNormalError,
 )
 from .projective import ProjPoint, cross
+from .record import Record, setfield
 from .scalars import TropScalar, as_fraction, format_value, t_add, t_mul
 
 
@@ -202,10 +202,12 @@ def chart0(a: TropMatrix3) -> TropMatrix3:
                           for row in a.values)
 
 
-@dataclass(frozen=True, slots=True)
-class DetResult:
-    value: Fraction | None
-    regular: bool
+class DetResult(Record):
+    __slots__ = ("value", "regular")
+
+    def __init__(self, value: Fraction | None, regular: bool):
+        setfield(self, "value", value)
+        setfield(self, "regular", regular)
 
 
 def trop_det(a: TropMatrix3) -> DetResult:
@@ -249,16 +251,19 @@ def kleene_star(a: TropMatrix3) -> TropMatrix3:
     return power(a, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class MonomialMatrix:
+class MonomialMatrix(Record):
     """A permutation-plus-translation matrix: one finite entry per row and column.
 
     Row i carries the finite offset offsets[i] in column perm[i] (0-indexed).
     These are the tropically invertible matrices.
     """
 
-    perm: tuple[int, int, int]
-    offsets: tuple[Fraction, Fraction, Fraction]
+    __slots__ = ("perm", "offsets")
+
+    def __init__(self, perm: tuple[int, int, int],
+                 offsets: tuple[Fraction, Fraction, Fraction]):
+        setfield(self, "perm", perm)
+        setfield(self, "offsets", offsets)
 
     @staticmethod
     def identity() -> "MonomialMatrix":

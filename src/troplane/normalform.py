@@ -20,7 +20,6 @@ exactly those of the same search over Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -44,19 +43,22 @@ from .matrices import (
     scale,
     scaled,
 )
+from .record import Record, setfield
 from .scalars import RationalLike, as_fraction
 
 Triple = tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalParams:
+class CanonicalParams(Record):
     """The parameter tuple (d, d1..d3, h1..h3, g) of the lower canonical form."""
 
-    d: Fraction
-    dv: Triple
-    h: Triple
-    g: Fraction
+    __slots__ = ("d", "dv", "h", "g")
+
+    def __init__(self, d: Fraction, dv: Triple, h: Triple, g: Fraction):
+        setfield(self, "d", d)
+        setfield(self, "dv", dv)
+        setfield(self, "h", h)
+        setfield(self, "g", g)
 
 
 def params(d: RationalLike, dv, h=(0, 0, 0), g: RationalLike = 0) -> CanonicalParams:
@@ -66,19 +68,24 @@ def params(d: RationalLike, dv, h=(0, 0, 0), g: RationalLike = 0) -> CanonicalPa
                            as_fraction(g))
 
 
-@dataclass(frozen=True, slots=True)
-class Normalization:
-    N: TropMatrix3
-    P: MonomialMatrix
-    Q: MonomialMatrix
+class Normalization(Record):
+    __slots__ = ("N", "P", "Q")
+
+    def __init__(self, N: TropMatrix3, P: MonomialMatrix, Q: MonomialMatrix):
+        setfield(self, "N", N)
+        setfield(self, "P", P)
+        setfield(self, "Q", Q)
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalResult:
-    params: CanonicalParams
-    P: MonomialMatrix
-    Q: MonomialMatrix
-    F: TropMatrix3
+class CanonicalResult(Record):
+    __slots__ = ("params", "P", "Q", "F")
+
+    def __init__(self, params: CanonicalParams, P: MonomialMatrix,
+                 Q: MonomialMatrix, F: TropMatrix3):
+        setfield(self, "params", params)
+        setfield(self, "P", P)
+        setfield(self, "Q", Q)
+        setfield(self, "F", F)
 
 
 def make_L(d: RationalLike, dv) -> TropMatrix3:

@@ -8,19 +8,21 @@ of coeff_j + q_j is attained at least twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundaryPointError, DegenerateError
+from .record import Record, setfield
 from .scalars import RationalLike, as_fraction, format_value, t_add, t_mul
 
 
-@dataclass(frozen=True, slots=True)
-class AffinePoint:
+class AffinePoint(Record):
     """A point of the Z=0 chart: both coordinates finite rationals."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Fraction, y: Fraction):
+        setfield(self, "x", x)
+        setfield(self, "y", y)
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -88,11 +90,13 @@ def point(a: RationalLike | None, b: RationalLike | None, c: RationalLike | None
     return ProjPoint(tuple(None if v is None else as_fraction(v) for v in (a, b, c)))
 
 
-@dataclass(frozen=True, slots=True)
-class TropLine:
+class TropLine(Record):
     """A tropical line, stored through its coefficient point."""
 
-    coeffs: ProjPoint
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: ProjPoint):
+        setfield(self, "coeffs", coeffs)
 
 
 def chart(p: ProjPoint) -> AffinePoint:

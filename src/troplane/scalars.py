@@ -10,13 +10,12 @@ arithmetic is exact; there is no floating-point mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import ParseError
+from .record import Record, setfield
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 # Size bound on rational literals, checked on the text before it is parsed:
 # at most MAX_LITERAL_DIGITS digits in all (numerator, denominator and
@@ -69,14 +68,16 @@ def format_value(x: Fraction | None) -> str:
     return "-inf" if x is None else str(x)
 
 
-@dataclass(frozen=True, slots=True)
-class TropScalar:
+class TropScalar(Record):
     """A parsed scalar literal, as `TropMatrix3(rows)` accepts it.
 
     It only carries `value`; the library computes on the values.
     """
 
-    value: Fraction | None  # None encodes -inf
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction | None):  # None encodes -inf
+        setfield(self, "value", value)
 
     def __str__(self) -> str:
         return format_value(self.value)

@@ -6,12 +6,12 @@ only when coordinates are serialized (6 decimals, round-half-even).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import enumerate_cells
 from .matrices import TropMatrix3, chart0, power
 from .projective import AffinePoint, chart, embed
+from .record import Record, setfield
 from .triangle import DIRECTIONS, analyze, hrep_idempotent
 
 
@@ -28,12 +28,15 @@ def fmt(v: Fraction) -> str:
     return f"{'-' if v < 0 else ''}{whole}.{frac:06d}"
 
 
-@dataclass(frozen=True)
-class Viewport:
-    x_min: Fraction
-    x_max: Fraction
-    y_min: Fraction
-    y_max: Fraction
+class Viewport(Record):
+    __slots__ = ("x_min", "x_max", "y_min", "y_max")
+
+    def __init__(self, x_min: Fraction, x_max: Fraction,
+                 y_min: Fraction, y_max: Fraction):
+        setfield(self, "x_min", x_min)
+        setfield(self, "x_max", x_max)
+        setfield(self, "y_min", y_min)
+        setfield(self, "y_max", y_max)
 
     def contains(self, p: AffinePoint) -> bool:
         return (self.x_min <= p.x <= self.x_max

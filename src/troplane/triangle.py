@@ -8,7 +8,6 @@ directions and lengths are read off the canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -33,6 +32,7 @@ from .normalform import (
     normalize,
 )
 from .projective import AffinePoint, ProjPoint, chart, point
+from .record import Record, setfield
 from .scalars import RationalLike, as_fraction, plane_norm
 
 WEST = "W"
@@ -43,13 +43,15 @@ NORTH_EAST = "NE"
 DIRECTIONS = {WEST: (-1, 0), SOUTH: (0, -1), NORTH_EAST: (1, 1)}
 
 
-@dataclass(frozen=True, slots=True)
-class Antenna:
+class Antenna(Record):
     """A pendant segment of the triangle: base vertex, direction, length."""
 
-    base: ProjPoint
-    direction: str
-    length: Fraction
+    __slots__ = ("base", "direction", "length")
+
+    def __init__(self, base: ProjPoint, direction: str, length: Fraction):
+        setfield(self, "base", base)
+        setfield(self, "direction", direction)
+        setfield(self, "length", length)
 
     @property
     def tip(self) -> ProjPoint:
@@ -58,19 +60,25 @@ class Antenna:
         return point(b.x + self.length * ux, b.y + self.length * uy, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class TriangleReport:
+class TriangleReport(Record):
     """What analyze() found; `canonical` is the canonical form it used, so
     callers that also need P, Q or F do not canonicalize again."""
 
-    good: bool
-    params: CanonicalParams
-    soma_dim: int
-    antennas: tuple[Antenna, ...]
-    pinwheel: bool
-    convex: bool
-    soma_vertices_chart: tuple[AffinePoint, ...]
-    canonical: CanonicalResult
+    __slots__ = ("good", "params", "soma_dim", "antennas", "pinwheel",
+                 "convex", "soma_vertices_chart", "canonical")
+
+    def __init__(self, good: bool, params: CanonicalParams, soma_dim: int,
+                 antennas: tuple[Antenna, ...], pinwheel: bool, convex: bool,
+                 soma_vertices_chart: tuple[AffinePoint, ...],
+                 canonical: CanonicalResult):
+        setfield(self, "good", good)
+        setfield(self, "params", params)
+        setfield(self, "soma_dim", soma_dim)
+        setfield(self, "antennas", antennas)
+        setfield(self, "pinwheel", pinwheel)
+        setfield(self, "convex", convex)
+        setfield(self, "soma_vertices_chart", soma_vertices_chart)
+        setfield(self, "canonical", canonical)
 
 
 def is_good(a: TropMatrix3) -> bool:
@@ -210,16 +218,19 @@ def origin_in_soma(a: TropMatrix3) -> bool:
     return member(moved, power(n.N, 2))
 
 
-@dataclass(frozen=True, slots=True)
-class HRep:
+class HRep(Record):
     """Axis/diagonal bounds cutting out the chart set of an idempotent triangle."""
 
-    x_min: Fraction
-    x_max: Fraction
-    y_min: Fraction
-    y_max: Fraction
-    diff_min: Fraction  # lower bound on y - x
-    diff_max: Fraction
+    __slots__ = ("x_min", "x_max", "y_min", "y_max", "diff_min", "diff_max")
+
+    def __init__(self, x_min: Fraction, x_max: Fraction, y_min: Fraction,
+                 y_max: Fraction, diff_min: Fraction, diff_max: Fraction):
+        setfield(self, "x_min", x_min)
+        setfield(self, "x_max", x_max)
+        setfield(self, "y_min", y_min)
+        setfield(self, "y_max", y_max)
+        setfield(self, "diff_min", diff_min)  # lower bound on y - x
+        setfield(self, "diff_max", diff_max)
 
     def contains(self, p: AffinePoint) -> bool:
         return (self.x_min <= p.x <= self.x_max

@@ -8,17 +8,14 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from troplane import verify
 from troplane.mapping import apply, project
 from troplane.matrices import TropMatrix3, power
 from troplane.normalform import canonical_form, make_F, make_L, params
-from troplane.projective import AffinePoint, chart, point
+from troplane.projective import cross, point
 from troplane.scalars import plane_norm, trop_distance
-from troplane.projective import cross
 from troplane.triangle import analyze, is_pinwheel, soma_dimension
-from troplane.arrangement import bounded_complex, enumerate_cells, signature_at
+from troplane.arrangement import bounded_complex, enumerate_cells
 
 PINWHEEL_A = TropMatrix3.of([[0, 1, 3], [0, 3, 4], [0, 0, 0]])
 TWO_ANTENNA = TropMatrix3.of([[0, -5, 0], [-7, 0, 0], [-6, -1, 0]])

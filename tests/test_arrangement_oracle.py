@@ -12,7 +12,6 @@ import importlib
 import itertools
 import pkgutil
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -20,7 +19,7 @@ import arrangement_oracle as oracle
 import scalar_reference as ref
 import troplane
 from troplane import arrangement
-from troplane.arrangement import Arrangement, enumerate_cells
+from troplane.arrangement import Arrangement, Cell, enumerate_cells
 from troplane.errors import InternalInconsistencyError
 from troplane.matrices import TropMatrix3
 from troplane.randgen import rand_fraction, rand_matrix
@@ -84,7 +83,10 @@ def test_first_difference_names_the_field():
     t = next(k for k, c in enumerate(cells) if c.dim == 2)
 
     def diff(k, **change):
-        changed = cells[:k] + [replace(cells[k], **change)] + cells[k + 1:]
+        c = cells[k]
+        fields = dict(signature=c.signature, dim=c.dim, bounded=c.bounded,
+                      witness=c.witness, recession_dirs=c.recession_dirs)
+        changed = cells[:k] + [Cell(**{**fields, **change})] + cells[k + 1:]
         return oracle.first_difference(a, Arrangement(tuple(changed)), want)
 
     assert diff(i) is None

@@ -6,13 +6,12 @@ and error for error, in test_map_kernels.py.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from troplane import mapping
-from troplane.arrangement import Arrangement, enumerate_cells
+from troplane.arrangement import Arrangement, Cell, enumerate_cells
 from troplane.errors import (
     InternalInconsistencyError,
     NonFiniteEntryError,
@@ -128,7 +127,8 @@ def test_far_sample_outside_its_cell_is_an_internal_error(monkeypatch):
     """A recession direction that leaves its cell is reported, not skipped."""
     arr = enumerate_cells(TWO_ANT_F)
     flipped = Arrangement(tuple(
-        replace(c, recession_dirs=tuple((-u, -v) for u, v in c.recession_dirs))
+        Cell(c.signature, c.dim, c.bounded, c.witness,
+             tuple((-u, -v) for u, v in c.recession_dirs))
         if c.dim == 2 else c for c in arr.cells))
     monkeypatch.setattr(mapping, "enumerate_cells", lambda f: flipped)
     with pytest.raises(InternalInconsistencyError, match="leaves the cell"):

@@ -11,7 +11,6 @@ from troplane.matrices import (
     TropMatrix3,
     is_normal,
     monomial_act,
-    mul,
     power,
 )
 from troplane.normalform import canonical_form, make_F, make_L, params, read_params
