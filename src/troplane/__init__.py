@@ -24,14 +24,14 @@ _EXPORTS = {
         "mapping"),
     **dict.fromkeys(
         ("IDENTITY", "MonomialMatrix", "TropMatrix3", "adjoint_hat", "breve",
-         "is_normal", "kleene_star", "monomial_act", "mul", "power",
-         "trop_det"), "matrices"),
+         "collinear", "is_normal", "kleene_star", "monomial_act", "mul",
+         "power", "trop_det"), "matrices"),
     **dict.fromkeys(
         ("CanonicalParams", "canonical_form", "make_F", "make_L", "normalize",
          "read_params", "validate_params"), "normalform"),
     **dict.fromkeys(
-        ("AffinePoint", "ProjPoint", "TropLine", "chart", "collinear", "cross",
-         "on_line", "point"), "projective"),
+        ("AffinePoint", "ProjPoint", "TropLine", "chart", "cross", "on_line",
+         "point"), "projective"),
     **dict.fromkeys(("TropScalar", "plane_norm", "trop_distance"), "scalars"),
     **dict.fromkeys(("Viewport", "render_figure"), "svgfig"),
     **dict.fromkeys(

@@ -20,7 +20,7 @@ from .errors import InternalInconsistencyError, NoSuchAntennaError
 from .matrices import TropMatrix3, scale, scaled, scaled_values
 from .normalform import CanonicalParams, read_params
 from .projective import AffinePoint
-from .record import Record, setfield
+from .record import Record
 
 _SUBSETS = [frozenset(s) for s in
             [{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}]]
@@ -31,11 +31,6 @@ class CellSignature(Record):
 
     __slots__ = ("s1", "s2", "s3")
 
-    def __init__(self, s1: frozenset[int], s2: frozenset[int], s3: frozenset[int]):
-        setfield(self, "s1", s1)
-        setfield(self, "s2", s2)
-        setfield(self, "s3", s3)
-
     def rows(self):
         return (self.s1, self.s2, self.s3)
 
@@ -45,23 +40,13 @@ class CellSignature(Record):
 
 
 class Cell(Record):
-    __slots__ = ("signature", "dim", "bounded", "witness", "recession_dirs")
+    """A cell of the arrangement; `witness` is the probe point that found it."""
 
-    def __init__(self, signature: CellSignature, dim: int, bounded: bool,
-                 witness: AffinePoint,  # the probe point that found the cell
-                 recession_dirs: tuple[tuple[int, int], ...]):
-        setfield(self, "signature", signature)
-        setfield(self, "dim", dim)
-        setfield(self, "bounded", bounded)
-        setfield(self, "witness", witness)
-        setfield(self, "recession_dirs", recession_dirs)
+    __slots__ = ("signature", "dim", "bounded", "witness", "recession_dirs")
 
 
 class Arrangement(Record):
     __slots__ = ("cells",)
-
-    def __init__(self, cells: tuple[Cell, ...]):
-        setfield(self, "cells", cells)
 
     def counts(self) -> tuple[int, int, int]:
         by_dim = [0, 0, 0]
@@ -204,23 +189,12 @@ class StrictIneq(Record):
 
     __slots__ = ("cx", "cy", "rhs")
 
-    def __init__(self, cx: Fraction, cy: Fraction, rhs: Fraction):
-        setfield(self, "cx", cx)
-        setfield(self, "cy", cy)
-        setfield(self, "rhs", rhs)
-
     def holds(self, p: AffinePoint) -> bool:
         return self.cx * p.x + self.cy * p.y < self.rhs
 
 
 class AntennaCell(Record):
     __slots__ = ("which", "inequalities", "cell")
-
-    def __init__(self, which: str, inequalities: tuple[StrictIneq, ...],
-                 cell: Cell):
-        setfield(self, "which", which)
-        setfield(self, "inequalities", inequalities)
-        setfield(self, "cell", cell)
 
 
 def _antenna_region(p: CanonicalParams, which: str):

@@ -26,7 +26,7 @@ from .matrices import (TropMatrix3, grid_mul, is_monomial_pattern, scale,
                        scaled, scaled_values)
 from .normalform import make_L, read_params
 from .projective import AffinePoint, ProjPoint, chart, embed
-from .record import Record, setfield
+from .record import Record
 from .triangle import Antenna, _projection, antenna_slots, member
 
 BIJECTIVE = "bijective-monomial"
@@ -61,24 +61,17 @@ def classify(a: TropMatrix3) -> str:
 
 
 class CellBehavior(Record):
-    __slots__ = ("cell", "behavior", "target", "directions", "samples")
+    """How the map acts on one cell.
 
-    def __init__(self, cell: Cell, behavior: str, target: AffinePoint | None,
-                 directions: tuple[tuple[int, int], ...],
-                 samples: tuple[AffinePoint, ...]):
-        setfield(self, "cell", cell)
-        setfield(self, "behavior", behavior)
-        setfield(self, "target", target)  # image of the witness, if moved
-        setfield(self, "directions", directions)  # validated projections
-        setfield(self, "samples", samples)
+    `target` is the image of the witness if the cell moves, else None;
+    `directions` are the validated projections.
+    """
+
+    __slots__ = ("cell", "behavior", "target", "directions", "samples")
 
 
 class PiecewiseReport(Record):
     __slots__ = ("matrix", "entries")
-
-    def __init__(self, matrix: TropMatrix3, entries: tuple[CellBehavior, ...]):
-        setfield(self, "matrix", matrix)
-        setfield(self, "entries", entries)
 
 
 _SAMPLES = 3  # points drawn around the witness of each 2-cell

@@ -22,7 +22,7 @@ from .record import Record, setfield
 from .scalars import TropScalar, as_fraction, format_value, t_add, t_mul
 
 
-class TropMatrix3:
+class TropMatrix3(Record):
     """An immutable 3x3 max-plus matrix with a finite entry in each row and column.
 
     It is stored only as `values`, a 3x3 tuple grid of Fractions with None
@@ -43,10 +43,10 @@ class TropMatrix3:
                 raise InvalidMatrixError(f"row {i + 1} has no finite entry")
             if all(values[j][i] is None for j in range(3)):
                 raise InvalidMatrixError(f"column {i + 1} has no finite entry")
-        object.__setattr__(self, "values", values)
+        setfield(self, "values", values)
 
-    def __setattr__(self, *a):
-        raise AttributeError("TropMatrix3 is immutable")
+    def __reduce__(self):  # the constructor takes parsed literals
+        return TropMatrix3.of, (self.values,)
 
     @staticmethod
     def of(entries) -> "TropMatrix3":
@@ -78,14 +78,6 @@ class TropMatrix3:
         return all(x is None or (y is not None and x <= y)
                    for r, s in zip(self.values, other.values)
                    for x, y in zip(r, s))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TropMatrix3):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
 
     def __str__(self) -> str:
         return "[" + "; ".join(
@@ -205,10 +197,6 @@ def chart0(a: TropMatrix3) -> TropMatrix3:
 class DetResult(Record):
     __slots__ = ("value", "regular")
 
-    def __init__(self, value: Fraction | None, regular: bool):
-        setfield(self, "value", value)
-        setfield(self, "regular", regular)
-
 
 def trop_det(a: TropMatrix3) -> DetResult:
     """Tropical determinant: max over the six permutation sums.
@@ -221,6 +209,11 @@ def trop_det(a: TropMatrix3) -> DetResult:
         return DetResult(None, False)  # all six sums are -inf: singular
     best = max(sums)
     return DetResult(best, sums.count(best) == 1)
+
+
+def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
+    """True iff the column matrix (p | q | r) is tropically singular."""
+    return not trop_det(TropMatrix3.from_columns(p, q, r)).regular
 
 
 def adjoint_hat(a: TropMatrix3) -> TropMatrix3:
@@ -259,11 +252,6 @@ class MonomialMatrix(Record):
     """
 
     __slots__ = ("perm", "offsets")
-
-    def __init__(self, perm: tuple[int, int, int],
-                 offsets: tuple[Fraction, Fraction, Fraction]):
-        setfield(self, "perm", perm)
-        setfield(self, "offsets", offsets)
 
     @staticmethod
     def identity() -> "MonomialMatrix":

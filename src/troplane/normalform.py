@@ -43,7 +43,7 @@ from .matrices import (
     scale,
     scaled,
 )
-from .record import Record, setfield
+from .record import Record
 from .scalars import RationalLike, as_fraction
 
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -53,12 +53,6 @@ class CanonicalParams(Record):
     """The parameter tuple (d, d1..d3, h1..h3, g) of the lower canonical form."""
 
     __slots__ = ("d", "dv", "h", "g")
-
-    def __init__(self, d: Fraction, dv: Triple, h: Triple, g: Fraction):
-        setfield(self, "d", d)
-        setfield(self, "dv", dv)
-        setfield(self, "h", h)
-        setfield(self, "g", g)
 
 
 def params(d: RationalLike, dv, h=(0, 0, 0), g: RationalLike = 0) -> CanonicalParams:
@@ -71,21 +65,9 @@ def params(d: RationalLike, dv, h=(0, 0, 0), g: RationalLike = 0) -> CanonicalPa
 class Normalization(Record):
     __slots__ = ("N", "P", "Q")
 
-    def __init__(self, N: TropMatrix3, P: MonomialMatrix, Q: MonomialMatrix):
-        setfield(self, "N", N)
-        setfield(self, "P", P)
-        setfield(self, "Q", Q)
-
 
 class CanonicalResult(Record):
     __slots__ = ("params", "P", "Q", "F")
-
-    def __init__(self, params: CanonicalParams, P: MonomialMatrix,
-                 Q: MonomialMatrix, F: TropMatrix3):
-        setfield(self, "params", params)
-        setfield(self, "P", P)
-        setfield(self, "Q", Q)
-        setfield(self, "F", F)
 
 
 def make_L(d: RationalLike, dv) -> TropMatrix3:

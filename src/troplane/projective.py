@@ -20,18 +20,11 @@ class AffinePoint(Record):
 
     __slots__ = ("x", "y")
 
-    def __init__(self, x: Fraction, y: Fraction):
-        setfield(self, "x", x)
-        setfield(self, "y", y)
-
-    def __iter__(self):
-        return iter((self.x, self.y))
-
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
 
 
-class ProjPoint:
+class ProjPoint(Record):
     """A point of the tropical projective plane.
 
     It is stored only as `values`, a triple of Fractions with None for -inf,
@@ -46,10 +39,7 @@ class ProjPoint:
         values = tuple(values)
         if all(x is None for x in values):
             raise DegenerateError("projective point needs a finite coordinate")
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("ProjPoint is immutable")
+        setfield(self, "values", values)
 
     def canonical(self) -> tuple[Fraction | None, ...]:
         """Representative with maximum coordinate shifted to 0."""
@@ -95,9 +85,6 @@ class TropLine(Record):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: ProjPoint):
-        setfield(self, "coeffs", coeffs)
-
 
 def chart(p: ProjPoint) -> AffinePoint:
     """Z=0 chart of a point: (p1 - p3, p2 - p3).  Needs p3 finite."""
@@ -135,11 +122,3 @@ def on_line(q: ProjPoint, line: TropLine) -> bool:
     """
     terms = [t for t in map(t_mul, line.coeffs.values, q.values) if t is not None]
     return not terms or terms.count(max(terms)) >= 2
-
-
-def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    """True iff the column matrix (p | q | r) is tropically singular."""
-    from .matrices import TropMatrix3, trop_det
-
-    m = TropMatrix3.from_columns(p, q, r)
-    return not trop_det(m).regular

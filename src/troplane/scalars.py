@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .record import Record, setfield
+from .record import Record
 
 RationalLike = Fraction | int | str
 
@@ -71,13 +71,10 @@ def format_value(x: Fraction | None) -> str:
 class TropScalar(Record):
     """A parsed scalar literal, as `TropMatrix3(rows)` accepts it.
 
-    It only carries `value`; the library computes on the values.
+    It only carries `value`, None for -inf; the library computes on the values.
     """
 
     __slots__ = ("value",)
-
-    def __init__(self, value: Fraction | None):  # None encodes -inf
-        setfield(self, "value", value)
 
     def __str__(self) -> str:
         return format_value(self.value)

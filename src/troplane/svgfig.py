@@ -11,7 +11,7 @@ from fractions import Fraction
 from .arrangement import enumerate_cells
 from .matrices import TropMatrix3, chart0, power
 from .projective import AffinePoint, chart, embed
-from .record import Record, setfield
+from .record import Record
 from .triangle import DIRECTIONS, analyze, hrep_idempotent
 
 
@@ -30,13 +30,6 @@ def fmt(v: Fraction) -> str:
 
 class Viewport(Record):
     __slots__ = ("x_min", "x_max", "y_min", "y_max")
-
-    def __init__(self, x_min: Fraction, x_max: Fraction,
-                 y_min: Fraction, y_max: Fraction):
-        setfield(self, "x_min", x_min)
-        setfield(self, "x_max", x_max)
-        setfield(self, "y_min", y_min)
-        setfield(self, "y_max", y_max)
 
     def contains(self, p: AffinePoint) -> bool:
         return (self.x_min <= p.x <= self.x_max

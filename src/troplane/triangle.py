@@ -26,13 +26,12 @@ from .matrices import (
 )
 from .normalform import (
     CanonicalParams,
-    CanonicalResult,
     canonical_form,
     make_L,
     normalize,
 )
 from .projective import AffinePoint, ProjPoint, chart, point
-from .record import Record, setfield
+from .record import Record
 from .scalars import RationalLike, as_fraction, plane_norm
 
 WEST = "W"
@@ -48,11 +47,6 @@ class Antenna(Record):
 
     __slots__ = ("base", "direction", "length")
 
-    def __init__(self, base: ProjPoint, direction: str, length: Fraction):
-        setfield(self, "base", base)
-        setfield(self, "direction", direction)
-        setfield(self, "length", length)
-
     @property
     def tip(self) -> ProjPoint:
         ux, uy = DIRECTIONS[self.direction]
@@ -66,19 +60,6 @@ class TriangleReport(Record):
 
     __slots__ = ("good", "params", "soma_dim", "antennas", "pinwheel",
                  "convex", "soma_vertices_chart", "canonical")
-
-    def __init__(self, good: bool, params: CanonicalParams, soma_dim: int,
-                 antennas: tuple[Antenna, ...], pinwheel: bool, convex: bool,
-                 soma_vertices_chart: tuple[AffinePoint, ...],
-                 canonical: CanonicalResult):
-        setfield(self, "good", good)
-        setfield(self, "params", params)
-        setfield(self, "soma_dim", soma_dim)
-        setfield(self, "antennas", antennas)
-        setfield(self, "pinwheel", pinwheel)
-        setfield(self, "convex", convex)
-        setfield(self, "soma_vertices_chart", soma_vertices_chart)
-        setfield(self, "canonical", canonical)
 
 
 def is_good(a: TropMatrix3) -> bool:
@@ -219,18 +200,12 @@ def origin_in_soma(a: TropMatrix3) -> bool:
 
 
 class HRep(Record):
-    """Axis/diagonal bounds cutting out the chart set of an idempotent triangle."""
+    """Axis/diagonal bounds cutting out the chart set of an idempotent triangle.
+
+    `diff_min` and `diff_max` bound y - x.
+    """
 
     __slots__ = ("x_min", "x_max", "y_min", "y_max", "diff_min", "diff_max")
-
-    def __init__(self, x_min: Fraction, x_max: Fraction, y_min: Fraction,
-                 y_max: Fraction, diff_min: Fraction, diff_max: Fraction):
-        setfield(self, "x_min", x_min)
-        setfield(self, "x_max", x_max)
-        setfield(self, "y_min", y_min)
-        setfield(self, "y_max", y_max)
-        setfield(self, "diff_min", diff_min)  # lower bound on y - x
-        setfield(self, "diff_max", diff_max)
 
     def contains(self, p: AffinePoint) -> bool:
         return (self.x_min <= p.x <= self.x_max

@@ -24,6 +24,7 @@ from .matrices import (
     adjoint_hat,
     breve,
     chart0,
+    collinear,
     is_normal,
     kleene_star,
     monomial_act,
@@ -40,7 +41,7 @@ from .normalform import (
     make_L,
     normalize,
 )
-from .projective import AffinePoint, TropLine, chart, collinear, cross, on_line, point
+from .projective import AffinePoint, ProjPoint, TropLine, chart, cross, on_line, point
 from .randgen import (
     rand_fraction,
     rand_generic_matrix,
@@ -486,7 +487,7 @@ def suite_collinearity(rng: random.Random) -> str | None:
         return f"collinearity lost under {_fmt(a)}"
 
 
-def _point_on(line: TropLine, rng) -> "point":
+def _point_on(line: TropLine, rng) -> ProjPoint:
     """A point of the line: its vertex or a point along one of its rays."""
     a1, a2, a3 = line.coeffs.values
     vx, vy = a3 - a1, a3 - a2

@@ -2,14 +2,10 @@
 loads only the modules it runs.
 
 A function-level import hides a dependency, and one that breaks an import
-cycle hides the cycle.  There are two exceptions:
-
-- ``projective.collinear``'s import of ``matrices``: ``matrices`` imports
-  ``projective`` at module level, so ``projective`` cannot import
-  ``matrices`` at module level in turn.
-- ``cli``'s imports of ``verify`` (in ``cmd_verify``) and ``svgfig`` (in
-  ``cmd_figure`` and ``_parse_viewport``), for cold start: ``troplane
-  analyze`` then neither compiles them nor loads ``randgen`` and ``random``.
+cycle hides the cycle.  The one exception is ``cli``'s imports of ``verify``
+(in ``cmd_verify``) and ``svgfig`` (in ``cmd_figure`` and
+``_parse_viewport``), for cold start: ``troplane analyze`` then neither
+compiles them nor loads ``randgen`` and ``random``.
 
 ``test_import_closure`` checks the cold-start side in a fresh interpreter:
 what ``import troplane.cli`` and ``import troplane`` load, and that the
@@ -24,7 +20,6 @@ from pathlib import Path
 import troplane
 
 ALLOWED = {
-    ("projective", "collinear", ".matrices"),
     ("cli", "cmd_verify", ".verify"),
     ("cli", "cmd_figure", ".svgfig"),
     ("cli", "_parse_viewport", ".svgfig"),

@@ -13,11 +13,11 @@ import pytest
 
 import scalar_reference as ref
 from troplane.errors import BoundaryPointError, DegenerateError
+from troplane.matrices import collinear
 from troplane.projective import (
     AffinePoint,
     TropLine,
     chart,
-    collinear,
     cross,
     embed,
     on_line,

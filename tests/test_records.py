@@ -4,26 +4,34 @@ Each of the 19 result classes keeps what it had as a frozen dataclass: its
 field order, positional and keyword construction, a ``Name(field=value)``
 repr (pinned here as the dataclass printed it), field-wise ``==`` that is
 never true for another class, ``hash`` of the tuple of fields,
-``AttributeError`` on assignment, and ``copy``/``pickle`` support.
+``AttributeError`` on assignment, and ``copy``/``pickle`` support.  Their
+``__init__`` is the one ``Record`` compiles from ``__slots__``.
+``TropMatrix3`` and ``ProjPoint`` are records with their own validating
+constructors; they and the results holding them copy and pickle too.
 """
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 
+import troplane
 from troplane.arrangement import (AntennaCell, Arrangement, Cell,
                                   CellSignature, StrictIneq)
-from troplane.mapping import CellBehavior, PiecewiseReport
-from troplane.matrices import IDENTITY, DetResult, MonomialMatrix
+from troplane.mapping import CellBehavior, PiecewiseReport, piecewise_report
+from troplane.matrices import IDENTITY, DetResult, MonomialMatrix, TropMatrix3
 from troplane.normalform import (CanonicalParams, CanonicalResult,
-                                 Normalization)
-from troplane.projective import AffinePoint, TropLine, point
-from troplane.record import Record, setfield
+                                 Normalization, canonical_form, make_F,
+                                 normalize, params)
+from troplane.projective import AffinePoint, ProjPoint, TropLine, point
+from troplane.record import Record
 from troplane.scalars import TropScalar
 from troplane.svgfig import Viewport
-from troplane.triangle import Antenna, HRep, TriangleReport
+from troplane.triangle import Antenna, HRep, TriangleReport, analyze
 
 SIG = CellSignature(frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3}))
 SIG_R = ("CellSignature(s1=frozenset({1}), s2=frozenset({2, 3}), "
@@ -88,15 +96,22 @@ IDS = [type(x).__name__ for x, _ in CASES]
 
 def _twin(cls):
     """Another record class with cls's name and fields."""
-    def init(self, *values):
-        for name, value in zip(cls.__slots__, values):
-            setfield(self, name, value)
-    return type(cls.__name__, (Record,),
-                {"__slots__": cls.__slots__, "__init__": init})
+    return type(cls.__name__, (Record,), {"__slots__": cls.__slots__})
 
 
 def test_every_record_class_is_covered():
-    assert len(set(IDS)) == len(IDS) == 19
+    for info in pkgutil.iter_modules(troplane.__path__):
+        importlib.import_module(f"troplane.{info.name}")
+    found = {cls for cls in Record.__subclasses__()
+             if cls.__module__.startswith("troplane.")}
+    assert found == {type(x) for x, _ in CASES} | {TropMatrix3, ProjPoint}
+    assert len(set(IDS)) == len(IDS)
+
+
+def test_generated_init_names_its_class():
+    assert list(inspect.signature(Cell).parameters) == list(Cell.__slots__)
+    with pytest.raises(TypeError, match=r"^Cell\.__init__\(\) missing 3 "):
+        Cell(1, 2)
 
 
 @pytest.mark.parametrize("x, pinned", CASES, ids=IDS)
@@ -125,3 +140,32 @@ def test_record_contract(x, pinned):
 def test_records_pickle():
     for x in (PARAMS, CELL, MM):  # fields that pickle themselves
         assert pickle.loads(pickle.dumps(x)) == x
+
+
+A = TropMatrix3.of([[0, 3, -1], [2, 0, 1], [-2, 4, 0]])
+HELD = {
+    "IDENTITY": IDENTITY,
+    "point": point(1, None, 0),
+    "normalize": normalize(A),
+    "canonical_form": canonical_form(A),
+    "analyze": analyze(A),
+    "piecewise_report": piecewise_report(
+        make_F(params(0, (0, 6, 1), (0, 1, 0), 4))),
+}
+
+
+@pytest.mark.parametrize("x", HELD.values(), ids=HELD)
+def test_matrix_and_point_holders_copy_and_pickle(x):
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is type(x) and twin == x and repr(twin) == repr(x)
+
+
+@pytest.mark.parametrize("x", [IDENTITY, point(1, None, 0)],
+                         ids=["TropMatrix3", "ProjPoint"])
+def test_matrix_and_point_are_immutable(x):
+    with pytest.raises(AttributeError):
+        x.values = x.values
+    with pytest.raises(AttributeError):
+        del x.values
+    with pytest.raises(AttributeError):
+        x.extra = 1
